@@ -7,8 +7,11 @@ contra-polymatroid {R : sum_{i in A} R_i >= f(A)} whose rank function is
 f(A) = I(x_A; u_A | u_{A^c}); its vertices come from permutation chains, and
 a weighted sum rate is minimized at the vertex of the descending-weight
 permutation. The channel itself is searched by seeded multi-start coordinate
-descent over directions with an exact scalar repair onto the distortion
-boundary.
+descent over directions, each scaled onto the distortion boundary by solving
+a secular equation (one eigendecomposition of the whitened leaves, then a
+monotone Newton iteration). Vertices and ranks come from Cholesky pivots of
+the covariance of u; encoders with alpha = 0, padding included, are left out
+of every factorization, since their contribution is exactly zero.
 
 Leaf/encoder positions are 1-based throughout the public subset API, matching
 the tree node indexing.
@@ -20,7 +23,6 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import gauss
 from ._search import multi_start
@@ -42,60 +44,6 @@ __all__ = [
     "InnerSolution",
     "ChannelContext",
 ]
-
-
-# ---------------------------------------------------------------------------
-# small dense kernels (pure Python beats numpy dispatch at these sizes)
-
-
-def _logdet(M) -> float:
-    """log det of a small positive-definite matrix; -inf when singular."""
-    n = len(M)
-    if n == 0:
-        return 0.0
-    a = [row[:] for row in M]
-    acc = 0.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] <= 0.0:  # PSD input: a nonpositive pivot means singular
-            return -math.inf
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        acc += math.log(p)
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f != 0.0:
-                arow, crow = a[r], a[col]
-                for j in range(col + 1, n):
-                    arow[j] -= f * crow[j]
-    return acc
-
-
-def _solve(M, b):
-    """Gaussian elimination with partial pivoting; raises on tiny pivots."""
-    n = len(M)
-    a = [row[:] + [bv] for row, bv in zip(M, b)]
-    scale = max((abs(v) for row in M for v in row), default=0.0)
-    floor = 1e-13 * max(scale, 1e-300)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) <= floor:
-            raise ZeroDivisionError("near-singular system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f != 0.0:
-                arow, crow = a[r], a[col]
-                for j in range(col + 1, n + 1):
-                    arow[j] -= f * crow[j]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = s / a[i][i]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +219,55 @@ def vertex_rates(f: RankFunction, perm: Sequence[int]) -> np.ndarray:
 # fast evaluation context for the optimizer
 
 
+_NEWTON_CAP = 50  # repair iterations; from s = 1 they converge quadratically
+_NEWTON_STEP_RTOL = 1e-12  # a step that moves s by less than this is the last
+
+
+def _pivots(M):
+    """Cholesky pivots of a symmetric matrix in its given order, no pivoting.
+
+    Pivot j is the variance of row j given rows 0..j-1, the square of the
+    Cholesky diagonal; their logs sum to every leading log-determinant.
+    Elimination overwrites M. None when M is not positive definite.
+    """
+    a = M
+    n = len(a)
+    out = []
+    for col in range(n):
+        acol = a[col]
+        p = acol[col]
+        if p <= 0.0:
+            return None
+        out.append(p)
+        for r in range(col + 1, n):
+            arow = a[r]
+            f = arow[col] / p
+            if f != 0.0:
+                for j in range(col + 1, n):
+                    arow[j] -= f * acol[j]
+    return out
+
+
+def _secular(lam, c2, s: float):
+    """h(s) = sum_k c_k^2 / (lam_k + s) and -h'(s)."""
+    h = dh = 0.0
+    for lk, ck in zip(lam, c2):
+        den = lk + s
+        if den > 0.0:  # a null direction of U (a noiseless copy) has c_k = 0
+            q = ck / den
+            h += q
+            dh += q / den
+    return h, dh
+
+
 class ChannelContext:
-    """Precomputed second moments of one tree for fast channel evaluation."""
+    """Precomputed second moments of one tree for fast channel evaluation.
+
+    Every kernel works on the encoders with alpha > 0 only. An encoder with
+    alpha = 0 (padding always) sends a u independent of everything else with
+    Var(u) equal to its noise variance, so it is a diagonal block of U and
+    every rate or rank increment it contributes is exactly 0.
+    """
 
     def __init__(self, tree: BinaryTreeSource):
         cov = binary_cov(tree)
@@ -291,122 +286,170 @@ class ChannelContext:
             self.d_floor = 0.0  # the root is observed directly
         else:
             self.d_floor = gauss.mmse(K, 0, [idx[i] for i in self.real])
+        # whitened leaves for the repair: correlations less the identity, and
+        # root-leaf covariances over the leaf standard deviations
+        inv = [1.0 / math.sqrt(v) if v > 0.0 else 0.0 for v in self.leaf_var]
+        self._corr_off = [
+            [0.0 if i == j else inv[i] * self.leaf_cov[i][j] * inv[j] for j in range(m)]
+            for i in range(m)
+        ]
+        self._rho = [r * s for r, s in zip(self.root_leaf, inv)]
 
-    def u_cov(self, alpha):
-        m = self.m
-        Kl = self.leaf_cov
-        U = [[0.0] * m for _ in range(m)]
-        for i in range(m):
-            ai = alpha[i]
-            Ui = U[i]
-            Ki = Kl[i]
-            for j in range(i):
-                v = ai * alpha[j] * Ki[j]
-                Ui[j] = v
-                U[j][i] = v
-            Ui[i] = self.leaf_var[i]
-        return U
+    def _u(self, alpha, order) -> list:
+        """Covariance of u over the 0-based leaves ``order``, in that order."""
+        K, v = self.leaf_cov, self.leaf_var
+        rows = []
+        for i in order:
+            ai, Ki = alpha[i], K[i]
+            row = [ai * alpha[j] * Ki[j] for j in order]
+            row[len(rows)] = v[i]  # variance-preserving channel
+            rows.append(row)
+        return rows
+
+    def _live(self, alpha) -> list:
+        return [i for i in range(self.m) if alpha[i] > 0.0]
 
     def distortion(self, alpha) -> float:
-        U = self.u_cov(alpha)
-        q = [alpha[i] * self.root_leaf[i] for i in range(self.m)]
-        try:
-            y = _solve(U, q)
-            d = self.root_var - sum(qi * yi for qi, yi in zip(q, y))
-        except ZeroDivisionError:
-            m = self.m
-            J = np.empty((m + 1, m + 1))
-            J[0, 0] = self.root_var
-            J[0, 1:] = q
-            J[1:, 0] = q
-            J[1:, 1:] = U
-            d = gauss.mmse(J, 0, range(1, m + 1))
-        return max(d, 0.0)
+        """MMSE of the root given u: the last Cholesky pivot with the root last."""
+        live = self._live(alpha)
+        q = [alpha[i] * self.root_leaf[i] for i in live]
+        M = self._u(alpha, live)
+        for row, qi in zip(M, q):
+            row.append(qi)
+        M.append(q + [self.root_var])
+        piv = _pivots([row[:] for row in M])
+        if piv is not None:
+            return piv[-1]
+        # U is singular (a noiseless copy), or the root is determined by u
+        return gauss.mmse(np.asarray(M), len(live), range(len(live)))
 
-    def _suffix_logdet(self, U, suffix):
-        if not suffix:
-            return 0.0
-        sub = [[U[i - 1][j - 1] for j in suffix] for i in suffix]
-        return _logdet(sub)
+    def _chain_pivots(self, alpha, perm):
+        """Var(u_i | u of the encoders after i in perm), by 0-based leaf.
+
+        One Cholesky of U in reversed-perm order gives every suffix at once.
+        None when U is not positive definite.
+        """
+        order = [e - 1 for e in reversed(perm) if alpha[e - 1] > 0.0]
+        piv = _pivots(self._u(alpha, order))
+        return None if piv is None else dict(zip(order, piv))
 
     def chain_value(self, alpha, perm, weights) -> float:
         """Weighted sum rate at the chain vertex of ``perm`` (may be +inf)."""
-        U = self.u_cov(alpha)
-        ld_full = _logdet(U)
-        if ld_full == -math.inf:
+        cond = self._chain_pivots(alpha, perm)
+        if cond is None:
             return math.inf
         val = 0.0
-        prev_f = 0.0
-        cum = 0.0
-        for pos, enc in enumerate(perm):
+        for enc in perm:
             w = weights[enc - 1]
             if w <= 0.0:
                 break  # descending order: every later weight is zero too
             a = alpha[enc - 1]
+            if a <= 0.0:
+                continue
             noise = (1.0 - a * a) * self.leaf_var[enc - 1]
             if noise <= 0.0:
                 return math.inf
-            cum += math.log(noise)
-            f = 0.5 * (ld_full - self._suffix_logdet(U, perm[pos + 1 :]) - cum)
-            val += w * (f - prev_f)
-            prev_f = f
+            val += w * 0.5 * math.log(cond[enc - 1] / noise)
         return val
 
     def chain_rates(self, alpha, perm) -> np.ndarray:
         """All vertex increments for ``perm`` (math.inf on degenerate steps)."""
-        U = self.u_cov(alpha)
-        ld_full = _logdet(U)
+        cond = self._chain_pivots(alpha, perm)
         rates = np.zeros(self.m)
-        prev_f = 0.0
-        cum = 0.0
-        for pos, enc in enumerate(perm):
+        dead = cond is None
+        for enc in perm:
             a = alpha[enc - 1]
-            noise = (1.0 - a * a) * self.leaf_var[enc - 1]
-            if noise <= 0.0 or ld_full == -math.inf:
+            if dead:
                 rates[enc - 1] = math.inf
-                prev_f = math.inf
                 continue
-            cum += math.log(noise)
-            f = 0.5 * (ld_full - self._suffix_logdet(U, perm[pos + 1 :]) - cum)
-            rates[enc - 1] = max(f - prev_f, 0.0) if math.isfinite(prev_f) else math.inf
-            prev_f = f
+            if a <= 0.0:
+                continue
+            noise = (1.0 - a * a) * self.leaf_var[enc - 1]
+            if noise <= 0.0:
+                rates[enc - 1] = math.inf
+                dead = True  # every later prefix has infinite rank
+                continue
+            rates[enc - 1] = max(0.5 * math.log(cond[enc - 1] / noise), 0.0)
         return rates
+
+    def rank_function(self, alpha):
+        """f(A) = I(x_A; u_A | u_{A^c}) at one channel, for any 1-based A.
+
+        U is factored once; each subset then takes one Cholesky of its
+        complement: f(A) = (log det U - log det U_{A^c} - sum_A log noise) / 2.
+        """
+        live = self._live(alpha)
+        U = self._u(alpha, live)
+        piv = _pivots([row[:] for row in U])
+        if piv is None:
+            return lambda A: math.inf if len(A) else 0.0
+        ld_full = sum(map(math.log, piv))
+        log_noise = {}
+        for i in live:
+            noise = (1.0 - alpha[i] * alpha[i]) * self.leaf_var[i]
+            log_noise[i + 1] = math.log(noise) if noise > 0.0 else None
+
+        def f(A) -> float:
+            acc = ld_full
+            for i in A:
+                if i in log_noise:
+                    if log_noise[i] is None:
+                        return math.inf
+                    acc -= log_noise[i]
+            keep = [k for k, i in enumerate(live) if i + 1 not in A]
+            if len(keep) == len(live):
+                return 0.0
+            sub = _pivots([[U[r][c] for c in keep] for r in keep])
+            if sub is None:
+                return math.inf
+            return max(0.0, 0.5 * (acc - sum(map(math.log, sub))))
+
+        return f
 
     def rank_fast(self, alpha, A) -> float:
         """f(A) via the log-determinant identity (optimizer-grade)."""
-        A = sorted(A)
-        if not A:
-            return 0.0
-        U = self.u_cov(alpha)
-        ld_full = _logdet(U)
-        if ld_full == -math.inf:
-            return math.inf
-        comp = [i for i in range(1, self.m + 1) if i not in set(A)]
-        acc = ld_full - self._suffix_logdet(U, comp)
-        for i in A:
-            a = alpha[i - 1]
-            noise = (1.0 - a * a) * self.leaf_var[i - 1]
-            if noise <= 0.0:
-                return math.inf
-            acc -= math.log(noise)
-        return max(0.0, 0.5 * acc)
+        return self.rank_function(alpha)(set(A))
 
     def repair(self, direction, d):
-        """Scale a direction onto the distortion-d boundary; None if it can't reach."""
+        """Scale a direction onto the distortion-d boundary; None if it can't reach.
+
+        Along alpha = t u, with s = 1/t^2, U / t^2 = V^(1/2) (C + s I) V^(1/2)
+        where V holds the leaf variances and C = D_u (R - I) D_u for the leaf
+        correlations R. With C = Q diag(lam) Q^T and c = Q^T D_u rho, the
+        distortion is root_var - h(s), h(s) = sum_k c_k^2 / (lam_k + s): a
+        secular equation. h is a Stieltjes function, so 1/h is concave and
+        Newton on 1/h from s = 1 (t = 1) rises monotonically to the root;
+        every iterate keeps the distortion at or below d.
+        """
         mx = max((direction[i] for i in self.real), default=0.0)
         if mx <= 1e-12:
             return None
-        u = [0.0] * self.m
-        for i in self.real:
-            u[i] = direction[i] / mx
-
-        def g(t):
-            return self.distortion([t * ui for ui in u]) - d
-
-        if g(1.0) > 0.0:
-            return None
-        t = brentq(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-        return [t * ui for ui in u]
+        g = self.root_var - d
+        if g <= 0.0:
+            return [0.0] * self.m  # the silent channel already meets d
+        live = [i for i in self.real if direction[i] > 0.0]
+        u = [direction[i] / mx for i in live]
+        R = self._corr_off
+        lam, Q = np.linalg.eigh(
+            [[ui * uj * R[i][j] for j, uj in zip(live, u)] for i, ui in zip(live, u)]
+        )
+        c2 = (np.dot([ui * self._rho[i] for i, ui in zip(live, u)], Q) ** 2).tolist()
+        lam = lam.tolist()
+        h, dh = _secular(lam, c2, 1.0)
+        if h < g:
+            return None  # even t = 1 leaves the distortion above d
+        s = 1.0
+        for _ in range(_NEWTON_CAP):
+            step = h * (h - g) / (g * dh)
+            s += step
+            if step <= _NEWTON_STEP_RTOL * s:
+                break
+            h, dh = _secular(lam, c2, s)
+        t = 1.0 / math.sqrt(s)
+        alpha = [0.0] * self.m
+        for i, ui in zip(live, u):
+            alpha[i] = t * ui
+        return alpha
 
 
 class InnerSolution(NamedTuple):
@@ -433,10 +476,10 @@ def min_weighted_sum(
     """Minimize sum_i w_i R_i over channels meeting distortion d.
 
     The distortion constraint is active at any optimum (rates grow with every
-    alpha), so the search runs over direction vectors with an exact scalar
-    repair onto the boundary; the rate vector is the chain vertex of the
-    descending-weight permutation. Multi-start coordinate descent; results
-    are deterministic for a fixed seed.
+    alpha), so the search runs over direction vectors, each scaled onto the
+    boundary by ``ChannelContext.repair``; the rate vector is the chain
+    vertex of the descending-weight permutation. Multi-start coordinate
+    descent; results are deterministic for a fixed seed.
     """
     ctx = _ctx if _ctx is not None else ChannelContext(tree)
     m = ctx.m
@@ -537,9 +580,10 @@ def region_slice(
 
     def corners(alpha):
         # best (R_a, R_b) corners of the slice polytope at this channel
+        rank = ctx.rank_function(alpha)
         for A in helper_subsets:
             have = sum(fixed[i] for i in A)
-            if not math.isinf(have) and have < ctx.rank_fast(alpha, A) - 1e-9:
+            if not math.isinf(have) and have < rank(A) - 1e-9:
                 return None  # the fixed helper rates cannot support this channel
 
         def cval(core):
@@ -548,7 +592,7 @@ def region_slice(
                 slack = sum(fixed[i] for i in A)
                 if math.isinf(slack):
                     continue  # unconstrained helpers absorb the requirement
-                f = ctx.rank_fast(alpha, set(A) | core)
+                f = rank(A | core)
                 if math.isinf(f):
                     return math.inf
                 best = max(best, f - slack)

@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gmtree import (
     BinaryTreeSource,
@@ -17,6 +20,7 @@ from gmtree import (
     mmse,
     polymatroid_audit,
     rank_f,
+    rd_out_min_weighted,
     region_slice,
     tabulate_rank,
     vertex_rates,
@@ -61,6 +65,124 @@ def test_channel_context_agrees_with_oracle(small_tree):
         assert abs(ctx.distortion(a) - distortion(joint)) < 1e-11
         for A in ([1], [2], [1, 2]):
             assert abs(ctx.rank_fast(a, A) - rank_f(joint, A)) < 1e-10
+
+
+def _oracle_chain_value(tree, alpha, weights):
+    perm = weight_order(weights)
+    return float(np.dot(weights, vertex_rates(tabulate_rank(tree, alpha), perm)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A tree (depth 2-4, padding leaves allowed), a direction with zero
+    entries, a distortion strictly inside (d_floor, root_var) and weights."""
+    L = draw(st.integers(2, 4))
+    alpha, noise = {}, {}
+    for k in range(2, L + 1):
+        for i in range(1, 2 ** (k - 1) + 1):
+            alpha[(k, i)] = draw(st.floats(0.2, 0.95))
+            noise[(k, i)] = draw(st.floats(0.05, 1.0))
+    m = 2 ** (L - 1)
+    padding = draw(st.sets(st.integers(1, m), max_size=m - 1))
+    tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise, padding)
+    direction = [
+        0.0 if i + 1 in padding else draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0))
+        for i in range(m)
+    ]
+    assume(any(direction[i] > 0 for i in range(m) if i + 1 not in padding))
+    frac = draw(st.floats(1e-3, 1 - 1e-3))
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(m)]
+    return tree, direction, frac, weights
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_cases())
+def test_repair_and_chain_vertex_agree_with_oracle(case):
+    tree, direction, frac, weights = case
+    ctx = ChannelContext(tree)
+    d = ctx.d_floor + frac * (ctx.root_var - ctx.d_floor)
+    mx = max(direction)
+    at_one = distortion(build_joint(tree, [v / mx for v in direction]))
+    assume(abs(at_one - d) > 1e-12 * d)  # the criterion is exact only off the tie
+    alpha = ctx.repair(direction, d)
+    assert (alpha is None) == (at_one > d)
+    if alpha is None:
+        return
+    assert not any(math.isnan(v) for v in alpha)
+    got = distortion(build_joint(tree, alpha))
+    assert d * (1 - 1e-9) <= got <= d * (1 + 1e-12)
+    assert abs(ctx.distortion(alpha) - got) < 1e-11
+    perm = weight_order(weights)
+    value = ctx.chain_value(alpha, perm, weights)
+    assert abs(value - _oracle_chain_value(tree, alpha, weights)) < 1e-10
+    rates = ctx.chain_rates(alpha, perm)
+    assert not np.isnan(rates).any()
+    assert abs(float(np.dot(weights, rates)) - value) < 1e-10
+
+
+def test_kernels_on_degenerate_inputs():
+    # both leaves are noiseless copies of the root: the leaf correlation is
+    # singular, and along (1, 1) the whitened matrix has lam + s = 0 at t = 1
+    copy = BinaryTreeSource(2, 1.3, {(2, 1): 1.0, (2, 2): 1.0}, {(2, 1): 0.0, (2, 2): 0.0})
+    ctx = ChannelContext(copy)
+    assert ctx.d_floor < 1e-12
+    for d in (1e-3, 0.4, 1.2):
+        alpha = ctx.repair([1.0, 1.0], d)
+        assert alpha[0] == alpha[1]
+        a2 = Fraction(alpha[0]) ** 2  # two noisy looks at the root, in exact arithmetic
+        assert d * (1 - 1e-9) <= Fraction(1.3) * (1 - a2) / (1 + a2) <= d * (1 + 1e-12)
+        assert abs(ctx.chain_value(alpha, [1, 2], [1.0, 1.0])
+                   - _oracle_chain_value(copy, alpha, [1.0, 1.0])) < 1e-10
+    # at alpha = (1, 1) the channel is noiseless: U is singular
+    assert ctx.distortion([1.0, 1.0]) < 1e-12
+    assert ctx.chain_value([1.0, 1.0], [1, 2], [1.0, 1.0]) == math.inf
+    assert ctx.rank_fast([1.0, 1.0], [1]) == math.inf
+
+    # an alpha = 1 leaf with a noisy partner: U is positive definite, but the
+    # leaf itself is sent without noise
+    t = BinaryTreeSource(2, 1.0, {(2, 1): 0.9, (2, 2): 0.7}, {(2, 1): 0.19, (2, 2): 0.51})
+    ctx = ChannelContext(t)
+    a = [1.0, 0.5]
+    assert abs(ctx.distortion(a) - distortion(build_joint(t, a))) < 1e-12
+    assert ctx.chain_value(a, [1, 2], [1.0, 0.5]) == math.inf
+    # with weight 0 the noiseless leaf is last in the chain: only f({2}) is paid
+    f2 = rank_f(build_joint(t, a), [2])
+    assert abs(ctx.chain_value(a, [2, 1], [0.0, 1.0]) - f2) < 1e-10
+    assert abs(ctx.rank_fast(a, [2]) - f2) < 1e-10
+    assert ctx.rank_fast(a, [1]) == math.inf
+    assert list(ctx.chain_rates(a, [1, 2])) == [math.inf, math.inf]
+
+
+# Its leaf covariance has an off-diagonal entry (0.400) above a diagonal one
+# (0.205): elimination with partial pivoting that ignores the sign of the
+# row swap reads U as singular there.
+PIVOT_SIGN_TREE = BinaryTreeSource(
+    2,
+    1.962121266348924,
+    {(2, 1): 0.2654332499072869, (2, 2): 0.7679329358249694},
+    {(2, 1): 0.0666309866363113, (2, 2): 0.9228992384222843},
+)
+
+
+def test_kernels_finite_when_off_diagonal_exceeds_diagonal():
+    t = PIVOT_SIGN_TREE
+    ctx = ChannelContext(t)
+    a = [0.9007443, 0.70941396]
+    w = [1.0, 1.0]
+    perm = weight_order(w)
+    want = vertex_rates(tabulate_rank(t, a), perm)
+    assert abs(ctx.chain_value(a, perm, w) - float(np.dot(w, want))) < 1e-10
+    assert np.max(np.abs(ctx.chain_rates(a, perm) - want)) < 1e-10
+    joint = build_joint(t, a)
+    for A in ([1], [2], [1, 2]):
+        assert abs(ctx.rank_fast(a, A) - rank_f(joint, A)) < 1e-10
+
+
+def test_min_weighted_sum_meets_outer_when_off_diagonal_exceeds_diagonal():
+    d = 0.7550669803914355
+    inner = min_weighted_sum(PIVOT_SIGN_TREE, [1.0, 1.0], d, seed=2399463).value
+    outer = rd_out_min_weighted(PIVOT_SIGN_TREE, [1.0, 1.0], d).value
+    assert abs(inner - outer) <= 2e-3
 
 
 def test_alpha_validation(small_tree):
