@@ -16,11 +16,9 @@ from .trees import (
     BinaryTreeSource,
     MarkovTree,
     TreeNode,
-    ancestors_set,
     binarize,
     binary_cov,
     fit_tree_params,
-    node_sets,
     reroot,
     sample_tree,
     to_markov_tree,
@@ -119,8 +117,6 @@ __all__ = [
     "binarize",
     "to_markov_tree",
     "binary_cov",
-    "node_sets",
-    "ancestors_set",
     "markov_graph",
     "markov_graph_exact",
     "check_embed_conditions",

@@ -390,10 +390,13 @@ def cmd_worst_case(args):
 # parser
 
 
-def _add_solver_opts(p, starts_default=16):
-    p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-8))
+def _add_solver_opts(p, starts_default=16, tol=True, iters=True):
+    """--starts and --seed, plus --tol and --iters where the solver reads them."""
+    if tol:
+        p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-8))
     p.add_argument("--starts", type=int, default=_env("STARTS", int, starts_default))
-    p.add_argument("--iters", type=int, default=_env("ITERS", int, 60))
+    if iters:
+        p.add_argument("--iters", type=int, default=_env("ITERS", int, 60))
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
 
 
@@ -441,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--distortion", type=float, required=True)
     p.add_argument("--weights-grid", type=int, default=8)
     p.add_argument("--gap-tol", type=float, default=5e-3)
-    _add_solver_opts(p)
+    _add_solver_opts(p, tol=False)
     p.set_defaults(func=cmd_verify_matchup)
 
     p = sub.add_parser("region-slice", help="two-encoder boundary polyline as CSV")
@@ -450,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--points", type=int, default=17)
     p.add_argument("--out")
-    _add_solver_opts(p, starts_default=8)
+    _add_solver_opts(p, starts_default=8, tol=False, iters=False)
     p.set_defaults(func=cmd_region_slice)
 
     p = sub.add_parser("lattice", help="Monte Carlo distortion of the modular-difference code")

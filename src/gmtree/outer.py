@@ -16,7 +16,11 @@ equality manifold (leaf rates free, internal rates saturated, root pinned)
 gives the reported outer value. ``matchup_verify`` cross-checks it against
 the independently computed inner bound.
 
-Rates are dicts keyed by (level, position); information is in nats.
+Rates are dicts keyed by (level, position) at the API; information is in
+nats. Inside, rates are lists in heap order, the order of
+``BinaryTreeSource.nodes()``: node (k, i) has index n = 2^(k-1) + i - 1, its
+children are 2n and 2n + 1, and leaf i of m is m + i - 1. Every composition
+is one pass over such a list in descending index order, children first.
 """
 
 import math
@@ -30,7 +34,7 @@ from ._search import multi_start
 from .errors import DomainError, ModelError
 from .gauss import gaussian_cmi
 from .inner import ChannelContext, build_joint, min_weighted_sum, weight_order
-from .trees import BinaryTreeSource, node_sets, ancestors_set
+from .trees import BinaryTreeSource
 
 __all__ = [
     "f_node",
@@ -59,37 +63,68 @@ def _factor(r: float) -> float:
 
 
 class _OuterEval:
-    """Per-node coefficients of one tree, with degenerate noises perturbed."""
+    """Child-cap coefficients of one tree by heap index, degenerate noises perturbed."""
 
     def __init__(self, tree: BinaryTreeSource):
-        self.tree = tree
-        self.L = tree.depth
-        self.m = tree.leaf_count
+        m = self.m = tree.leaf_count
+        nodes = tree.nodes()
         eps = NOISE_FLOOR_REL * tree.root_var
-        self.coeffs: dict = {}
-        for k in range(1, self.L):
-            for i in range(1, 2 ** (k - 1) + 1):
-                own = tree.root_var if k == 1 else max(tree.noise_var[(k, i)], eps)
-                cs = []
-                for ch in BinaryTreeSource.children((k, i)):
-                    a = tree.alpha[ch]
-                    nv = max(tree.noise_var[ch], eps)
-                    cs.append(a * a * own / nv if own > 0 else 0.0)
-                self.coeffs[(k, i)] = tuple(cs)
-        self.real = [i for i in range(1, self.m + 1) if i not in tree.padding]
+        # own[n]: the variance node n passes to its children's coefficients
+        own = [0.0, tree.root_var] + [max(tree.noise_var[v], eps) for v in nodes[1:]]
+        # c[n]: the coefficient of child n in its parent's cap
+        self.c = [0.0, 0.0]
+        for n in range(2, 2 * m):
+            a = tree.alpha[nodes[n - 1]]
+            self.c.append(a * a * own[n // 2] / own[n] if own[n // 2] > 0 else 0.0)
+        self.real = [i for i in range(1, m + 1) if i not in tree.padding]
 
-    def f(self, node, r1: float, r2: float) -> float:
-        c1, c2 = self.coeffs[node]
-        return 0.5 * math.log1p(c1 * _factor(r1) + c2 * _factor(r2))
+    def f(self, n: int, r1: float, r2: float) -> float:
+        c = self.c
+        return 0.5 * math.log1p(c[2 * n] * _factor(r1) + c[2 * n + 1] * _factor(r2))
 
-    def compose(self, leaf_rates) -> dict:
+    def sweep(self, r: list, nodes) -> list:
+        """Set r[n] to f of its children for each n of ``nodes`` (children first)."""
+        f = self.f
+        for n in nodes:
+            r[n] = f(n, r[2 * n], r[2 * n + 1])
+        return r
+
+    def compose(self, leaf_rates) -> list:
         """All node rates with internals saturated at f of their children."""
-        vals = {(self.L, i + 1): float(leaf_rates[i]) for i in range(self.m)}
-        for k in range(self.L - 1, 0, -1):
-            for i in range(1, 2 ** (k - 1) + 1):
-                l, r = BinaryTreeSource.children((k, i))
-                vals[(k, i)] = self.f((k, i), vals[l], vals[r])
-        return vals
+        m = self.m
+        return self.sweep([0.0] * m + [float(v) for v in leaf_rates], range(m - 1, 0, -1))
+
+    def plan(self, A) -> tuple[list, list, list]:
+        """Index lists of the subset bound for leaf set A, from one bottom-up
+        mask pass: the ancestor rows (nodes whose leaves meet A), the nodes
+        wholly inside A and the mixed nodes, bottom-up."""
+        m = self.m
+        s = [0] * m + [int(i in A) for i in range(1, m + 1)]  # 0 outside, 1 inside, 2 mixed
+        for n in range(m - 1, 0, -1):
+            s[n] = s[2 * n] if s[2 * n] == s[2 * n + 1] else 2
+        rows = [n for n in range(1, 2 * m) if s[n]]
+        return rows, [n for n in rows if s[n] == 1], [n for n in reversed(rows) if s[n] == 2]
+
+    def credit(self, r: list, zero, mixed) -> list:
+        """Telescoped rates: ``zero`` nodes at 0, ``mixed`` nodes recomposed
+        through f, every other node at its own rate."""
+        v = list(r)
+        for n in zero:
+            v[n] = 0.0
+        return self.sweep(v, mixed)
+
+    def bound(self, plan, r: list) -> float:
+        """Each ancestor row's rate less its credit for the complement's codes."""
+        rows, inside, mixed = plan
+        v = self.credit(r, inside, mixed)
+        return sum(r[n] - v[n] for n in rows)
+
+
+def _heap(tree: BinaryTreeSource, node) -> int:
+    k, i = node
+    if not (1 <= k <= tree.depth and 1 <= i <= 2 ** (k - 1)):
+        raise ModelError(f"invalid node {node} for depth {tree.depth}", code="unknown-node")
+    return 2 ** (k - 1) + i - 1
 
 
 def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
@@ -98,18 +133,26 @@ def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
     Zero noise variances below are perturbed to NOISE_FLOOR_REL times the
     root variance; the cap is continuous in that limit.
     """
-    k, i = node
-    if not (1 <= k < tree.depth and 1 <= i <= 2 ** (k - 1)):
+    h = _heap(tree, node)
+    if h >= tree.leaf_count:
         raise ModelError(f"node {node} is not internal", code="unknown-node")
-    return _OuterEval(tree).f((k, i), r1, r2)
+    return _OuterEval(tree).f(h, r1, r2)
 
 
-def _check_rates(tree: BinaryTreeSource, r: dict) -> dict:
-    want = set(tree.nodes())
+def _check_rates(tree: BinaryTreeSource, r: dict) -> list:
+    """The (level, pos) rate dict as a heap-ordered list (index 0 unused)."""
     got = {tuple(k): float(v) for k, v in r.items()}
-    if set(got) != want:
+    nodes = tree.nodes()
+    if set(got) != set(nodes):
         raise ModelError("rates must cover every tree node", code="bad-rates")
-    return got
+    return [0.0] + [got[v] for v in nodes]
+
+
+def _check_subset(tree: BinaryTreeSource, A: Iterable[int]) -> frozenset:
+    kept = frozenset(int(i) for i in A)
+    if not kept <= set(range(1, tree.leaf_count + 1)):
+        raise ModelError("A must be a set of leaf positions", code="bad-subset")
+    return kept
 
 
 def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) -> bool:
@@ -117,40 +160,15 @@ def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) 
     if d <= 0:
         raise DomainError("distortion must be positive", code="infeasible-distortion")
     rates = _check_rates(tree, r)
-    if any(v < -tol for v in rates.values()):
+    if any(v < -tol for v in rates[1:]):
+        return False
+    if tree.root_var > 0 and rates[1] < 0.5 * math.log(tree.root_var / d) - tol:
         return False
     ev = _OuterEval(tree)
-    if tree.root_var > 0:
-        pin = 0.5 * math.log(tree.root_var / d)
-        if rates[(1, 1)] < pin - tol:
-            return False
-    for node, _ in ev.coeffs.items():
-        l, rgt = BinaryTreeSource.children(node)
-        cap = ev.f(node, max(rates[l], 0.0), max(rates[rgt], 0.0))
-        if rates[node] > cap + tol:
-            return False
-    return True
-
-
-def _compile_telescope(L: int, node, kept: frozenset, only: bool):
-    """Evaluation plan: rates of nodes fully outside ``kept`` are zeroed
-    (only-mode) or passed through (both-mode)."""
-    obs = node_sets(L, node).observations
-    if obs <= kept:
-        return ("r", node)
-    if obs.isdisjoint(kept):
-        return ("r", node) if not only else ("zero",)
-    l, r = BinaryTreeSource.children(node)
-    return ("f", node, _compile_telescope(L, l, kept, only), _compile_telescope(L, r, kept, only))
-
-
-def _eval_telescope(plan, rates: dict, ev: _OuterEval) -> float:
-    tag = plan[0]
-    if tag == "r":
-        return rates[plan[1]]
-    if tag == "zero":
-        return 0.0
-    return ev.f(plan[1], _eval_telescope(plan[2], rates, ev), _eval_telescope(plan[3], rates, ev))
+    return not any(
+        rates[n] > ev.f(n, max(rates[2 * n], 0.0), max(rates[2 * n + 1], 0.0)) + tol
+        for n in range(1, ev.m)
+    )
 
 
 def telescope_f(tree: BinaryTreeSource, node, A: Iterable[int], r: dict, mode: str = "both") -> float:
@@ -163,27 +181,13 @@ def telescope_f(tree: BinaryTreeSource, node, A: Iterable[int], r: dict, mode: s
     if mode not in ("both", "only"):
         raise ModelError("mode must be 'both' or 'only'", code="bad-mode")
     rates = _check_rates(tree, r)
-    kept = frozenset(int(i) for i in A)
-    if not kept <= set(range(1, tree.leaf_count + 1)):
-        raise ModelError("A must be a set of leaf positions", code="bad-subset")
+    kept = _check_subset(tree, A)
+    h = _heap(tree, node)
     ev = _OuterEval(tree)
-    plan = _compile_telescope(tree.depth, tuple(node), kept, mode == "only")
-    return _eval_telescope(plan, rates, ev)
-
-
-def _compile_bound(L: int, A: frozenset):
-    """Rows of the subset bound: ancestor nodes of A paired with the
-    telescope plan that credits complement-side rates back."""
-    rows = []
-    comp = frozenset(range(1, 2 ** (L - 1) + 1)) - A
-    for k in range(1, L + 1):
-        for i in sorted(ancestors_set(L, A, k)):
-            rows.append(((k, i), _compile_telescope(L, (k, i), comp, True)))
-    return rows
-
-
-def _eval_bound(rows, rates: dict, ev: _OuterEval) -> float:
-    return sum(rates[node] - _eval_telescope(plan, rates, ev) for node, plan in rows)
+    _, outside, mixed = ev.plan(frozenset(range(1, ev.m + 1)) - kept)
+    # only the subtree of h is composed: n lies in it when its leading bits are h
+    below = [n for n in mixed if n >= h and n >> (n.bit_length() - h.bit_length()) == h]
+    return ev.credit(rates, outside if mode == "only" else (), below)[h]
 
 
 def rd_out_subset_bound(tree: BinaryTreeSource, r: dict, A: Iterable[int]) -> float:
@@ -193,20 +197,17 @@ def rd_out_subset_bound(tree: BinaryTreeSource, r: dict, A: Iterable[int]) -> fl
     telescoped credit for what the complement's codes already convey.
     """
     rates = _check_rates(tree, r)
-    Aset = frozenset(int(i) for i in A)
+    Aset = _check_subset(tree, A)
     if not Aset:
         return 0.0
-    if not Aset <= set(range(1, tree.leaf_count + 1)):
-        raise ModelError("A must be a set of leaf positions", code="bad-subset")
     ev = _OuterEval(tree)
-    return _eval_bound(_compile_bound(tree.depth, Aset), rates, ev)
+    return ev.bound(ev.plan(Aset), rates)
 
 
 def max_root_rate(tree: BinaryTreeSource) -> float:
     """Supremum of the composed root rate (padding rates pinned to zero)."""
     ev = _OuterEval(tree)
-    leaf = [0.0 if (i + 1) in tree.padding else math.inf for i in range(ev.m)]
-    return ev.compose(leaf)[(1, 1)]
+    return ev.compose([0.0 if i in tree.padding else math.inf for i in range(1, ev.m + 1)])[1]
 
 
 def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
@@ -217,19 +218,25 @@ def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
     the channel's achieved distortion. Oracle-grade (covariance based), used
     by verification paths rather than optimizers.
     """
-    joint = build_joint(tree, alpha)
-    M = joint.matrix
-    L = tree.depth
-    n_nodes = len(joint.labels) - tree.leaf_count
+    # the joint lists x in heap order (x_n at n - 1), then u_1..u_m, so the
+    # u of heap leaf h sits at h + m - 1
+    M = build_joint(tree, alpha).matrix
+    m = tree.leaf_count
     out = {}
-    for k in range(1, L + 1):
-        for i in range(1, 2 ** (k - 1) + 1):
-            xi = joint.index(f"x{k}_{i}")
-            obs = sorted(node_sets(L, (k, i)).observations)
-            uo = [n_nodes + j - 1 for j in obs]
-            cond = [] if k == 1 else [joint.index("x%d_%d" % BinaryTreeSource.parent((k, i)))]
-            out[(k, i)] = gaussian_cmi(M, [xi], uo, cond)
+    for n, node in enumerate(tree.nodes(), 1):
+        span = m >> (node[0] - 1)  # node n's leaves are heap n*span .. (n+1)*span - 1
+        uo = [h + m - 1 for h in range(n * span, (n + 1) * span)]
+        out[node] = gaussian_cmi(M, [n - 1], uo, [] if n == 1 else [n // 2 - 1])
     return out
+
+
+def _check_weights(weights, m: int) -> list[float]:
+    w = [float(v) for v in weights]
+    if len(w) != m:
+        raise ModelError(f"expected {m} weights", code="bad-weights")
+    if any(v < 0 for v in w):
+        raise DomainError("weights must be nonnegative", code="bad-weights")
+    return w
 
 
 class OuterSolution(NamedTuple):
@@ -238,11 +245,9 @@ class OuterSolution(NamedTuple):
     theta: np.ndarray
 
 
-def _weighted_plan(L: int, weights) -> list[tuple[float, list]]:
+def _weighted_plan(ev: _OuterEval, w: list[float]) -> list[tuple[float, tuple]]:
     """Nested suffix sets of the ascending weight order with their deltas."""
-    perm = weight_order(weights)  # descending
-    sigma = list(reversed(perm))  # ascending
-    w = [float(v) for v in weights]
+    sigma = list(reversed(weight_order(w)))  # ascending
     plans = []
     prev = 0.0
     for j, s in enumerate(sigma):
@@ -250,8 +255,7 @@ def _weighted_plan(L: int, weights) -> list[tuple[float, list]]:
         prev = w[s - 1]
         if delta <= 0.0:
             continue
-        A = frozenset(sigma[j:])
-        plans.append((delta, _compile_bound(L, A)))
+        plans.append((delta, ev.plan(frozenset(sigma[j:]))))
     return plans
 
 
@@ -278,11 +282,7 @@ def rd_out_min_weighted(
     """
     ev = _ev if _ev is not None else _OuterEval(tree)
     m = ev.m
-    w = [float(v) for v in weights]
-    if len(w) != m:
-        raise ModelError(f"expected {m} weights", code="bad-weights")
-    if any(v < 0 for v in w):
-        raise DomainError("weights must be nonnegative", code="bad-weights")
+    w = _check_weights(weights, m)
     if d <= 0:
         raise DomainError("distortion must be positive", code="infeasible-distortion")
     s2 = tree.root_var
@@ -297,7 +297,7 @@ def rd_out_min_weighted(
             f"maximum {cap:.6f}",
             code="infeasible-distortion",
         )
-    plans = _weighted_plan(tree.depth, w)
+    plans = _weighted_plan(ev, w)
     real0 = [i - 1 for i in ev.real]
 
     def solve_rates(x):
@@ -311,7 +311,7 @@ def rd_out_min_weighted(
         t_hi = 60.0 / min(pos)
 
         def g(t):
-            return ev.compose([t * ui for ui in u])[(1, 1)] - rho
+            return ev.compose([t * ui for ui in u])[1] - rho
 
         if g(t_hi) < 0:
             return None
@@ -322,7 +322,7 @@ def rd_out_min_weighted(
         rates = solve_rates(x)
         if rates is None:
             return math.inf
-        return sum(delta * _eval_bound(rows, rates, ev) for delta, rows in plans)
+        return sum(delta * ev.bound(plan, rates) for delta, plan in plans)
 
     extra = []
     if warm is not None:
@@ -347,7 +347,7 @@ def rd_out_min_weighted(
             code="infeasible-distortion",
         )
     theta = np.array([best_x[i] if i in real0 else 0.0 for i in range(m)])
-    return OuterSolution(best_f, rates, theta)
+    return OuterSolution(best_f, dict(zip(tree.nodes(), rates[1:])), theta)
 
 
 def rd_out_min_weighted_free(
@@ -370,7 +370,7 @@ def rd_out_min_weighted_free(
     """
     ev = _OuterEval(tree)
     m = ev.m
-    w = [float(v) for v in weights]
+    w = _check_weights(weights, m)
     if d <= 0:
         raise DomainError("distortion must be positive", code="infeasible-distortion")
     s2 = tree.root_var
@@ -379,32 +379,21 @@ def rd_out_min_weighted_free(
     rho = 0.5 * math.log(s2 / d)
     if rho >= max_root_rate(tree) * (1 - 1e-12):
         raise DomainError("unreachable distortion", code="infeasible-distortion")
-    plans = _weighted_plan(tree.depth, w)
-    L = tree.depth
-    coords_nodes = [
-        n for n in tree.nodes()
-        if n != (1, 1) and not (n[0] == L and n[1] in tree.padding)
-    ]
+    plans = _weighted_plan(ev, w)
+    # every node but the root and the padding leaves (heap m + i - 1 for leaf i)
+    coords = [n for n in range(2, 2 * m) if n - m + 1 not in tree.padding]
     rmax = 4.0 * rho + 8.0
 
     def sweep(x, scale):
-        """Bottom-up cap pass at the scaled proposal; root left unpinned."""
-        rates = {n: 0.0 for n in tree.nodes()}
-        for val, n in zip(x, coords_nodes):
+        """Bottom-up cap pass at the scaled proposal; returns the rates with
+        the root pinned and the root's cap."""
+        rates = [0.0] * (2 * m)
+        for val, n in zip(x, coords):
             rates[n] = val * rmax * scale
-        root_cap = rho
-        for k in range(L - 1, 0, -1):
-            for i in range(1, 2 ** (k - 1) + 1):
-                node = (k, i)
-                l, r = BinaryTreeSource.children(node)
-                capv = ev.f(node, rates[l], rates[r])
-                if node == (1, 1):
-                    root_cap = capv
-                    rates[node] = rho
-                else:
-                    rates[node] = min(rates[node], capv)
-        if L == 1:
-            rates[(1, 1)] = rho
+        for n in range(m - 1, 1, -1):
+            rates[n] = min(rates[n], ev.f(n, rates[2 * n], rates[2 * n + 1]))
+        root_cap = ev.f(1, rates[2], rates[3]) if m > 1 else rho
+        rates[1] = rho
         return rates, root_cap
 
     def project(x):
@@ -428,12 +417,12 @@ def rd_out_min_weighted_free(
         rates = project(x)
         if rates is None:
             return math.inf
-        return sum(delta * _eval_bound(rows, rates, ev) for delta, rows in plans)
+        return sum(delta * ev.bound(plan, rates) for delta, plan in plans)
 
     _, best_f = multi_start(
         objective,
-        len(coords_nodes),
-        list(range(len(coords_nodes))),
+        len(coords),
+        list(range(len(coords))),
         starts=starts,
         seed=seed,
         sweeps=sweeps,

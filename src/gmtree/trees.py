@@ -19,7 +19,7 @@ copy edges (alpha 1, noise 0).
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,15 +30,12 @@ __all__ = [
     "TreeNode",
     "MarkovTree",
     "BinaryTreeSource",
-    "NodeSets",
     "tree_to_cov",
     "fit_tree_params",
     "validate_markov",
     "sample_tree",
     "reroot",
     "binarize",
-    "node_sets",
-    "ancestors_set",
     "binary_cov",
     "to_markov_tree",
 ]
@@ -355,6 +352,7 @@ class BinaryTreeSource:
         return 2 ** (self.depth - 1)
 
     def nodes(self) -> list[NodeId]:
+        """Every node in heap order: (k, i) is the n-th, n = 2^(k-1) + i - 1."""
         return [
             (k, i) for k in range(1, self.depth + 1) for i in range(1, 2 ** (k - 1) + 1)
         ]
@@ -380,52 +378,6 @@ class BinaryTreeSource:
             j = ((i - 1) >> (k - level)) + 1
             v = self.alpha[(level, j)] ** 2 * v + self.noise_var[(level, j)]
         return v
-
-
-def _depth_of(tree) -> int:
-    return tree.depth if isinstance(tree, BinaryTreeSource) else int(tree)
-
-
-class NodeSets(NamedTuple):
-    observations: frozenset
-    left: frozenset
-    right: frozenset
-    tree_of: frozenset
-    complement: frozenset
-
-
-def node_sets(tree, node: NodeId) -> NodeSets:
-    """Observation leaves, descendant halves, own subtree, and complement."""
-    L = _depth_of(tree)
-    k, i = node
-    if not (1 <= k <= L and 1 <= i <= 2 ** (k - 1)):
-        raise ModelError(f"invalid node {node} for depth {L}", code="unknown-node")
-    obs = frozenset(range((i - 1) * 2 ** (L - k) + 1, i * 2 ** (L - k) + 1))
-    left, right = set(), set()
-    for l in range(k + 1, L + 1):
-        lo = (i - 1) << (l - k)
-        mid = lo + (1 << (l - k - 1))
-        hi = i << (l - k)
-        left.update((l, j) for j in range(lo + 1, mid + 1))
-        right.update((l, j) for j in range(mid + 1, hi + 1))
-    tree_of = frozenset({node} | left | right)
-    allnodes = {
-        (l, j) for l in range(1, L + 1) for j in range(1, 2 ** (l - 1) + 1)
-    }
-    return NodeSets(obs, frozenset(left), frozenset(right), tree_of, frozenset(allnodes - tree_of))
-
-
-def ancestors_set(tree, A: Iterable[int], k: int) -> frozenset:
-    """Level-k positions whose observation set meets A."""
-    L = _depth_of(tree)
-    if not (1 <= k <= L):
-        raise ModelError(f"invalid level {k} for depth {L}", code="unknown-node")
-    out = set()
-    for j in A:
-        if not 1 <= j <= 2 ** (L - 1):
-            raise ModelError(f"observation index {j} out of range", code="unknown-node")
-        out.add(((j - 1) >> (L - k)) + 1)
-    return frozenset(out)
 
 
 def _binary_label(node: NodeId) -> str:

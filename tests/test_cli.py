@@ -227,6 +227,12 @@ def test_region_slice_labels_resolve_through_leaf_map(tmp_path):
     assert json.loads(bad.stderr)["code"] == "bad-pair"
 
 
+def test_region_slice_rejects_unused_solver_flags():
+    r = run_cli("region-slice", "--tree", fixture_path("figure_tree"),
+                "-d", "0.5", "--pair", "1,4", "--iters", "5")
+    assert r.returncode == 2
+
+
 def test_lattice_json():
     r = run_cli("lattice", "--sigma2", "100", "-n", "6", "-m", "3",
                 "--samples", "20000", "--seed", "5")

@@ -1,25 +1,33 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtree import (
     BinaryTreeSource,
     ChannelContext,
     DomainError,
     ModelError,
+    binarize,
     build_joint,
     equality_rates,
     f_node,
+    fixture_path,
     frd_contains,
     gaussian_cmi,
+    load_model,
     matchup_verify,
     max_root_rate,
     min_weighted_sum,
     rd_out_min_weighted,
     rd_out_min_weighted_free,
     rd_out_subset_bound,
+    reroot,
     telescope_f,
+    weight_order,
 )
 from conftest import random_binary_tree, small_tree  # noqa: F401
 
@@ -118,6 +126,97 @@ def test_subset_bound_full_set_sums_all_rates(small_tree):
     assert abs(rd_out_subset_bound(small_tree, r, [1, 2]) - want) < 1e-14
 
 
+def _leaves_of(tree, node):
+    k, i = node
+    span = 2 ** (tree.depth - k)
+    return set(range((i - 1) * span + 1, i * span + 1))
+
+
+def _ref_telescope(tree, node, kept, r, only):
+    """Straight from the definition: a node wholly inside ``kept`` gives its
+    own rate, one wholly outside its own rate or 0, a mixed one recurses."""
+    leaves = _leaves_of(tree, node)
+    if leaves <= kept:
+        return r[node]
+    if not leaves & kept:
+        return 0.0 if only else r[node]
+    l, rr = BinaryTreeSource.children(node)
+    return f_node(tree, node, _ref_telescope(tree, l, kept, r, only),
+                  _ref_telescope(tree, rr, kept, r, only))
+
+
+def _ref_subset_bound(tree, r, A):
+    comp = set(range(1, tree.leaf_count + 1)) - A
+    return sum(r[n] - _ref_telescope(tree, n, comp, r, True)
+               for n in tree.nodes() if _leaves_of(tree, n) & A)
+
+
+def _all_subsets(m):
+    return [set(A) for size in range(m + 1) for A in itertools.combinations(range(1, m + 1), size)]
+
+
+def test_subset_bounds_and_telescopes_match_recursive_reference():
+    # figure_tree reduced at x1 has depth 5, padding and zero-noise copy
+    # edges; its 2^16 subsets are sampled: every subset of the real leaves,
+    # alone and with half the padding, plus random subsets of all leaves
+    figure, _ = binarize(reroot(load_model(fixture_path("figure_tree")), "x1"))
+    assert figure.depth == 5 and 0.0 in figure.noise_var.values()
+    rng = np.random.default_rng(0)
+    m = figure.leaf_count
+    real = sorted(set(range(1, m + 1)) - figure.padding)
+    half = set(sorted(figure.padding)[::2])
+    sampled = [{e for j, e in enumerate(real) if bits >> j & 1} for bits in range(2 ** len(real))]
+    sampled += [A | half for A in sampled]
+    sampled += [set(np.flatnonzero(rng.random(m) < 0.5) + 1) for _ in range(32)]
+    cases = [(random_binary_tree(L, 80 + L), _all_subsets(2 ** (L - 1))) for L in (1, 2, 3, 4)]
+    for tree, subsets in cases + [(figure, sampled)]:
+        r = {n: float(v) for n, v in zip(tree.nodes(), rng.uniform(0.0, 1.5, len(tree.nodes())))}
+        r[tree.nodes()[-1]] = 0.0
+        for A in subsets:
+            assert abs(rd_out_subset_bound(tree, r, A) - _ref_subset_bound(tree, r, A)) <= 1e-14
+            for node in tree.nodes():
+                for mode in ("both", "only"):
+                    want = _ref_telescope(tree, node, A, r, mode == "only")
+                    assert abs(telescope_f(tree, node, A, r, mode) - want) <= 1e-14
+
+
+@st.composite
+def identity_cases(draw):
+    """A tree of depth 2-4 without zero-noise edges, a channel and weights."""
+    L = draw(st.integers(2, 4))
+    alpha, noise = {}, {}
+    for k in range(2, L + 1):
+        for i in range(1, 2 ** (k - 1) + 1):
+            alpha[(k, i)] = draw(st.floats(0.2, 0.95))
+            noise[(k, i)] = draw(st.floats(0.05, 1.0))
+    tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise)
+    m = tree.leaf_count
+    a = [draw(st.floats(0.05, 0.95)) for _ in range(m)]
+    w = [draw(st.floats(0.0, 1.0)) for _ in range(m)]
+    return tree, a, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_cases())
+def test_equality_rates_meet_the_chain_vertex_exactly(case):
+    # at equality rates the weighted outer bound is the inner chain value,
+    # for any channel: the nested suffix sets of the ascending weight order
+    tree, a, w = case
+    r = equality_rates(tree, a)
+    perm = weight_order(w)
+    sigma = list(reversed(perm))
+    total, prev = 0.0, 0.0
+    for j, s in enumerate(sigma):
+        total += (w[s - 1] - prev) * rd_out_subset_bound(tree, r, sigma[j:])
+        prev = w[s - 1]
+    assert abs(total - ChannelContext(tree).chain_value(a, perm, w)) <= 1e-12
+    for leaf, ai in zip(tree.leaves(), a):
+        var = tree.var(leaf)
+        want = 0.5 * math.log((ai * ai * tree.noise_var[leaf] + (1 - ai * ai) * var)
+                              / ((1 - ai * ai) * var))
+        assert abs(r[leaf] - want) <= 1e-12
+
+
 def test_subset_bound_of_achievable_point_is_below_sum_rate():
     # validity: the bound on subset A never exceeds what the inner code pays
     for trial in range(6):
@@ -180,6 +279,18 @@ def test_outer_free_parameterization_agrees_deeper():
     restricted = rd_out_min_weighted(t, w, d, starts=12).value
     free = rd_out_min_weighted_free(t, w, d, starts=10)
     assert abs(free - restricted) <= 5e-3
+
+
+def test_outer_free_validates_weights():
+    t = random_binary_tree(3, 123)
+    d = _feasible_d(t, 0.5)
+    for w in ([1.0, 0.6], [1.0, 0.6, 0.9, 0.3, 0.5, 0.2]):
+        with pytest.raises(ModelError) as err:
+            rd_out_min_weighted_free(t, w, d, starts=2)
+        assert err.value.code == "bad-weights"
+    with pytest.raises(DomainError) as err:
+        rd_out_min_weighted_free(t, [1.0, -0.6, 0.9, 0.3], d, starts=2)
+    assert err.value.code == "bad-weights"
 
 
 def test_zero_noise_child_is_perturbed_not_fatal():

@@ -6,11 +6,9 @@ from gmtree import (
     MarkovTree,
     ModelError,
     TreeNode,
-    ancestors_set,
     binarize,
     binary_cov,
     fit_tree_params,
-    node_sets,
     reroot,
     sample_tree,
     to_markov_tree,
@@ -134,37 +132,6 @@ def test_node_var_walks_ancestor_path():
     for node in t.nodes():
         lbl = f"x{node[0]}_{node[1]}"
         assert abs(t.var(node) - cov.matrix[cov.index(lbl)][cov.index(lbl)]) < 1e-12
-
-
-def test_node_sets_against_brute_force():
-    L = 4
-    for k in range(1, L + 1):
-        for i in range(1, 2 ** (k - 1) + 1):
-            ns = node_sets(L, (k, i))
-            lo = (i - 1) * 2 ** (L - k) + 1
-            hi = i * 2 ** (L - k)
-            assert ns.observations == frozenset(range(lo, hi + 1))
-            if k < L:
-                l, r = BinaryTreeSource.children((k, i))
-                assert node_sets(L, l).tree_of == ns.left
-                assert node_sets(L, r).tree_of == ns.right
-            assert ns.tree_of | ns.complement == frozenset(
-                (a, b) for a in range(1, L + 1) for b in range(1, 2 ** (a - 1) + 1)
-            )
-            assert not (ns.tree_of & ns.complement)
-
-
-def test_ancestors_set_matches_observation_overlap():
-    L = 4
-    A = {2, 3, 7}
-    for k in range(1, L + 1):
-        got = ancestors_set(L, A, k)
-        want = {
-            i
-            for i in range(1, 2 ** (k - 1) + 1)
-            if node_sets(L, (k, i)).observations & A
-        }
-        assert got == frozenset(want)
 
 
 def test_to_markov_tree_labels_and_observations():
