@@ -16,6 +16,14 @@ equality manifold (leaf rates free, internal rates saturated, root pinned)
 gives the reported outer value. ``matchup_verify`` cross-checks it against
 the independently computed inner bound.
 
+The root pin is Newton's method along a ray t * u of leaf rates: one pass
+carries each node's rate and its derivative in t. Each f is jointly concave
+and nondecreasing and the leaves are linear in t, so the root rate is concave
+and nondecreasing in t, and Newton from t = 0 rises to the pin without
+overshooting. It stops on the residual, once the root rate is within two ulps
+of the pin. The free-rate audit twin, whose capped pass has kinks, keeps
+``brentq``.
+
 Rates are dicts keyed by (level, position) at the API; information is in
 nats. Inside, rates are lists in heap order, the order of
 ``BinaryTreeSource.nodes()``: node (k, i) has index n = 2^(k-1) + i - 1, its
@@ -51,6 +59,7 @@ __all__ = [
 ]
 
 NOISE_FLOOR_REL = 1e-9  # zero noise variances are lifted to this times the root variance
+PIN_STEPS = 60  # Newton steps allowed to the root pin; the solver's pins take 4-8
 
 
 def _factor(r: float) -> float:
@@ -93,6 +102,48 @@ class _OuterEval:
         """All node rates with internals saturated at f of their children."""
         m = self.m
         return self.sweep([0.0] * m + [float(v) for v in leaf_rates], range(m - 1, 0, -1))
+
+    def max_root(self) -> float:
+        """Supremum of the composed root rate: real leaves at +inf, padding at 0."""
+        real = set(self.real)
+        return self.compose([math.inf if i in real else 0.0 for i in range(1, self.m + 1)])[1]
+
+    def ray(self, t: float, u) -> tuple[list, float]:
+        """``compose`` at leaf rates t * u, with the root's tangent dr[1]/dt.
+
+        The rates are those of ``compose`` bit for bit (same ``_factor`` and
+        ``log1p`` arithmetic); the tangent carries
+        df/dr1 = c1 e^(-2 r1) / (1 + c1 F1 + c2 F2) up the same pass.
+        """
+        m, c = self.m, self.c
+        r = [0.0] * m + [t * ui for ui in u]
+        dr = [0.0] * m + list(u)
+        expm1, log1p = math.expm1, math.log1p
+        for n in range(m - 1, 0, -1):
+            a, b = c[2 * n], c[2 * n + 1]
+            f1, f2 = -expm1(-2.0 * r[2 * n]), -expm1(-2.0 * r[2 * n + 1])
+            x = a * f1 + b * f2
+            r[n] = 0.5 * log1p(x)
+            dr[n] = (a * (1.0 - f1) * dr[2 * n] + b * (1.0 - f2) * dr[2 * n + 1]) / (1.0 + x)
+        return r, dr[1]
+
+    def pin(self, u, rho: float) -> tuple[float, list, int]:
+        """The t >= 0 at which the root rate of t * u meets rho, the rates
+        there and the number of Newton steps taken.
+
+        Newton from t = 0 on a concave nondecreasing root rate rises to rho
+        without a bracket. It stops once rho - r[1] is within two ulps of
+        rho, after PIN_STEPS steps, or if the tangent vanishes. The caller
+        checks that rho is reachable along u.
+        """
+        tol = 2.0 * math.ulp(rho)
+        t, steps = 0.0, 0
+        r, slope = self.ray(t, u)
+        while rho - r[1] > tol and slope > 0.0 and steps < PIN_STEPS:
+            t += (rho - r[1]) / slope
+            r, slope = self.ray(t, u)
+            steps += 1
+        return t, r, steps
 
     def plan(self, A) -> tuple[list, list, list]:
         """Index lists of the subset bound for leaf set A, from one bottom-up
@@ -206,8 +257,7 @@ def rd_out_subset_bound(tree: BinaryTreeSource, r: dict, A: Iterable[int]) -> fl
 
 def max_root_rate(tree: BinaryTreeSource) -> float:
     """Supremum of the composed root rate (padding rates pinned to zero)."""
-    ev = _OuterEval(tree)
-    return ev.compose([0.0 if i in tree.padding else math.inf for i in range(1, ev.m + 1)])[1]
+    return _OuterEval(tree).max_root()
 
 
 def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
@@ -276,8 +326,10 @@ def rd_out_min_weighted(
 
     Searches the equality manifold: leaf rates run free along a direction,
     every internal rate saturates its cap, and the root is pinned to
-    half log(root variance / d) by a scalar solve. Returns the minimized
-    weighted combination of nested-subset bounds (a valid lower bound for
+    half log(root variance / d) by monotone Newton along the direction
+    (``_OuterEval.pin``), stopped on the root rate's residual, so the
+    returned rates meet the distortion. Returns the minimized weighted
+    combination of nested-subset bounds (a valid lower bound for
     every point of the rate region at distortion d).
     """
     ev = _ev if _ev is not None else _OuterEval(tree)
@@ -290,7 +342,7 @@ def rd_out_min_weighted(
     if s2 == 0.0 or d >= s2:
         return zero
     rho = 0.5 * math.log(s2 / d)
-    cap = max_root_rate(tree)
+    cap = ev.max_root()
     if rho >= cap * (1 - 1e-12):
         raise DomainError(
             f"distortion {d} requires root rate {rho:.6f} beyond the achievable "
@@ -309,14 +361,9 @@ def rd_out_min_weighted(
             u[i] = x[i] / mx
         pos = [v for v in u if v > 0]
         t_hi = 60.0 / min(pos)
-
-        def g(t):
-            return ev.compose([t * ui for ui in u])[1] - rho
-
-        if g(t_hi) < 0:
+        if ev.compose([t_hi * ui for ui in u])[1] < rho:
             return None
-        t = brentq(g, 0.0, t_hi, xtol=1e-13, rtol=1e-13, maxiter=300)
-        return ev.compose([t * ui for ui in u])
+        return ev.pin(u, rho)[1]
 
     def objective(x):
         rates = solve_rates(x)
@@ -377,7 +424,7 @@ def rd_out_min_weighted_free(
     if s2 == 0.0 or d >= s2:
         return 0.0
     rho = 0.5 * math.log(s2 / d)
-    if rho >= max_root_rate(tree) * (1 - 1e-12):
+    if rho >= ev.max_root() * (1 - 1e-12):
         raise DomainError("unreachable distortion", code="infeasible-distortion")
     plans = _weighted_plan(ev, w)
     # every node but the root and the padding leaves (heap m + i - 1 for leaf i)

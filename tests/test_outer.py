@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmtree import (
@@ -29,6 +29,7 @@ from gmtree import (
     telescope_f,
     weight_order,
 )
+from gmtree.outer import PIN_STEPS, _OuterEval
 from conftest import random_binary_tree, small_tree  # noqa: F401
 
 
@@ -215,6 +216,80 @@ def test_equality_rates_meet_the_chain_vertex_exactly(case):
         want = 0.5 * math.log((ai * ai * tree.noise_var[leaf] + (1 - ai * ai) * var)
                               / ((1 - ai * ai) * var))
         assert abs(r[leaf] - want) <= 1e-12
+
+
+@st.composite
+def pin_cases(draw):
+    """A tree of depth 1-4 with copy edges (alpha 1, noise 0) and padding
+    leaves, a direction over its real leaves with largest entry 1 (as the
+    solver scales it) and a root rate below the direction's supremum."""
+    L = draw(st.integers(1, 4))
+    alpha, noise = {}, {}
+    for k in range(2, L + 1):
+        for i in range(1, 2 ** (k - 1) + 1):
+            if draw(st.integers(0, 3)) == 0:
+                alpha[(k, i)], noise[(k, i)] = 1.0, 0.0
+            else:
+                alpha[(k, i)] = draw(st.floats(0.2, 0.95))
+                noise[(k, i)] = draw(st.floats(0.05, 1.0))
+    m = 2 ** (L - 1)
+    padding = draw(st.sets(st.integers(1, m), max_size=m - 1))
+    tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise, padding)
+    real = [i for i in range(1, m + 1) if i not in padding]
+    u = [0.0] * m
+    for i in real:
+        u[i - 1] = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    u[draw(st.sampled_from(real)) - 1] = 1.0
+    sup = _OuterEval(tree).compose([math.inf if v > 0 else 0.0 for v in u])[1]
+    frac = draw(st.floats(0.01, 0.99))
+    return tree, u, frac * (sup if math.isfinite(sup) else 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pin_cases())
+@example((BinaryTreeSource(1, 1.3, {}, {}), [1.0], 0.7))  # the root is the leaf
+def test_root_pin_rises_monotonically_to_rho(case):
+    tree, u, rho = case
+    ev = _OuterEval(tree)
+    ray, seen = ev.ray, []
+
+    def traced(t, u):
+        r, slope = ray(t, u)
+        seen.append(r[1])
+        return r, slope
+
+    ev.ray = traced
+    t, r, steps = ev.pin(u, rho)
+    # Newton from the left never overshoots in exact arithmetic; in floats
+    # the last step inherits the previous pass's rounding of the root rate
+    # and adds its own (up to 5 ulp together in 40000 examples at depth 4)
+    ulp = math.ulp(rho)
+    assert steps < PIN_STEPS
+    assert len(seen) == steps + 1 and all(v <= rho + 8 * ulp for v in seen)
+    assert rho - 2 * ulp <= r[1] <= rho + 8 * ulp
+    assert r == ev.compose([t * v for v in u])  # the arithmetic of f, bit for bit
+    lo = ev.compose([t * (1 - 1e-9) * v for v in u])[1]
+    hi = ev.compose([t * (1 + 1e-9) * v for v in u])[1]
+    assert lo < rho < hi
+    # r is concave in t, so its tangent lies between the secants either side
+    h = 1e-4 * t
+    slope = ray(t, u)[1]
+    left = (r[1] - ev.compose([(t - h) * v for v in u])[1]) / h
+    right = (ev.compose([(t + h) * v for v in u])[1] - r[1]) / h
+    slack = 16 * ulp / h + 1e-9 * slope
+    assert right - slack <= slope <= left + slack
+
+
+def test_pinned_root_meets_the_distortion_on_a_padded_tree():
+    # figure_tree reduced at x1: copy-edge coefficients near 1e9 amplify any
+    # miss of the root pin; a pin with a tolerance in t left the root off rho
+    # by up to 3.3e-6 nats here, and outside the feasible set at 0.8
+    tree, _ = binarize(reroot(load_model(fixture_path("figure_tree")), "x1"))
+    for frac in (0.2, 0.5, 0.8):
+        d = _feasible_d(tree, frac)
+        sol = rd_out_min_weighted(tree, [1.0] * tree.leaf_count, d, starts=2, sweeps=4)
+        assert abs(sol.rates[(1, 1)] - 0.5 * math.log(tree.root_var / d)) <= 1e-12
+        assert frd_contains(tree, sol.rates, d)
 
 
 def test_subset_bound_of_achievable_point_is_below_sum_rate():
