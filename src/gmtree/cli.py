@@ -192,10 +192,8 @@ def cmd_reduce(args):
     obs = sorted(rerooted.observations)
     keep = [args.target] + [v for v in obs if v != args.target]
     oi = [orig.index(v) for v in keep]
-    L = bt.depth
-    bi = [bcov.index("x1_1")] + [
-        bcov.index(f"x{L}_{leaf_map[v]}") for v in keep[1:]
-    ]
+    # binary_cov row n - 1 holds heap node n; the root is row 0
+    bi = [0] + [bt.index((bt.depth, leaf_map[v])) - 1 for v in keep[1:]]
     dev = float(
         np.max(
             np.abs(

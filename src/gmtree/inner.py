@@ -71,54 +71,51 @@ def build_joint(tree: BinaryTreeSource, alpha) -> Cov:
     """Covariance of all tree nodes plus the quantized observations u_1..u_m.
 
     Var(u_i) equals the leaf variance (variance-preserving channel) and every
-    cross-covariance picks up one factor alpha_i.
+    cross-covariance picks up one factor alpha_i. The 2m - 1 nodes come first,
+    in ``binary_cov`` order (heap node n at row n - 1), then u_1..u_m.
     """
     a = _check_alpha(tree, alpha)
     cov = binary_cov(tree)
     K = cov.matrix
     n = K.shape[0]
     m = tree.leaf_count
-    L = tree.depth
-    leaf_idx = [cov.index(f"x{L}_{i}") for i in range(1, m + 1)]
+    leaf_idx = [tree.index(v) - 1 for v in tree.leaves()]
     J = np.zeros((n + m, n + m))
     J[:n, :n] = K
-    for j, li in enumerate(leaf_idx):
-        J[n + j, :n] = a[j] * K[li, :]
-        J[:n, n + j] = J[n + j, :n]
-        for j2, lj in enumerate(leaf_idx):
-            J[n + j, n + j2] = a[j] * a[j2] * K[li, lj]
-        J[n + j, n + j] = K[li, li]
+    J[n:, :n] = a[:, None] * K[leaf_idx, :]
+    J[:n, n:] = J[n:, :n].T
+    J[n:, n:] = np.outer(a, a) * K[np.ix_(leaf_idx, leaf_idx)]
+    J[n:, n:][np.diag_indices(m)] = K[leaf_idx, leaf_idx]
     labels = cov.labels + tuple(f"u{i}" for i in range(1, m + 1))
     return Cov(labels, J)
 
 
-def _joint_layout(joint: Cov):
-    u_pos = [i for i, l in enumerate(joint.labels) if l.startswith("u")]
-    m = len(u_pos)
-    L = max(int(l[1:].split("_")[0]) for l in joint.labels if l.startswith("x"))
-    leaf_pos = {i: joint.index(f"x{L}_{i}") for i in range(1, m + 1)}
-    return m, leaf_pos, u_pos
+def _encoders(joint: Cov) -> int:
+    """The encoder count m of a ``build_joint`` covariance: 3m - 1 rows, m = 2^(L-1)."""
+    m, r = divmod(len(joint.labels) + 1, 3)
+    if r or m & (m - 1):
+        raise ModelError(f"no build_joint output has {len(joint.labels)} rows", code="bad-joint")
+    return m
 
 
 def rank_f(joint: Cov, A: Iterable[int]) -> float:
     """f(A) = I(x_A; u_A | u_{A^c}) in nats; +inf in the degenerate case."""
-    m, leaf_pos, u_pos = _joint_layout(joint)
+    m = _encoders(joint)
     A = sorted(set(int(i) for i in A))
     if any(not 1 <= i <= m for i in A):
         raise ModelError(f"subset out of range 1..{m}", code="bad-subset")
     if not A:
         return 0.0
-    xA = [leaf_pos[i] for i in A]
-    uA = [u_pos[i - 1] for i in A]
-    uAc = [u_pos[i - 1] for i in range(1, m + 1) if i not in A]
+    xA = [m + i - 2 for i in A]  # leaf i is heap node m + i - 1
+    uA = [2 * m + i - 2 for i in A]
+    uAc = [2 * m + i - 2 for i in range(1, m + 1) if i not in A]
     return gaussian_cmi(joint.matrix, xA, uA, uAc)
 
 
 def distortion(joint: Cov) -> float:
     """MMSE of the root given all quantized observations."""
-    m, _, u_pos = _joint_layout(joint)
-    root = joint.index("x1_1")
-    return gauss.mmse(joint.matrix, root, u_pos)
+    m = _encoders(joint)
+    return gauss.mmse(joint.matrix, 0, list(range(2 * m - 1, 3 * m - 1)))
 
 
 @dataclass(frozen=True)
@@ -270,11 +267,9 @@ class ChannelContext:
     """
 
     def __init__(self, tree: BinaryTreeSource):
-        cov = binary_cov(tree)
-        K = cov.matrix
-        L, m = tree.depth, tree.leaf_count
-        idx = [cov.index(f"x{L}_{i}") for i in range(1, m + 1)]
-        self.tree = tree
+        K = binary_cov(tree).matrix
+        m = tree.leaf_count
+        idx = [tree.index(v) - 1 for v in tree.leaves()]
         self.m = m
         self.leaf_cov = [[float(K[a, b]) for b in idx] for a in idx]
         self.leaf_var = [self.leaf_cov[i][i] for i in range(m)]
@@ -282,7 +277,7 @@ class ChannelContext:
         self.root_var = float(K[0, 0])
         self.padding = frozenset(i - 1 for i in tree.padding)
         self.real = [i for i in range(m) if i not in self.padding]
-        if L == 1:
+        if m == 1:
             self.d_floor = 0.0  # the root is observed directly
         else:
             self.d_floor = gauss.mmse(K, 0, [idx[i] for i in self.real])

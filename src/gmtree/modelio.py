@@ -217,8 +217,7 @@ def binary_to_obj(tree: BinaryTreeSource) -> dict:
             "alpha": fmt(tree.alpha[(k, i)]),
             "noise_var": fmt(tree.noise_var[(k, i)]),
         }
-        for k in range(2, tree.depth + 1)
-        for i in range(1, 2 ** (k - 1) + 1)
+        for k, i in tree.nodes()[1:]
     ]
     return {
         "binary_tree": {

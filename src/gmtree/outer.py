@@ -25,10 +25,9 @@ of the pin. The free-rate audit twin, whose capped pass has kinks, keeps
 ``brentq``.
 
 Rates are dicts keyed by (level, position) at the API; information is in
-nats. Inside, rates are lists in heap order, the order of
-``BinaryTreeSource.nodes()``: node (k, i) has index n = 2^(k-1) + i - 1, its
-children are 2n and 2n + 1, and leaf i of m is m + i - 1. Every composition
-is one pass over such a list in descending index order, children first.
+nats. Inside, rates are lists in the heap layout of ``BinaryTreeSource``
+(see its docstring), and every composition is one pass over such a list in
+descending index order, children first.
 """
 
 import math
@@ -76,14 +75,13 @@ class _OuterEval:
 
     def __init__(self, tree: BinaryTreeSource):
         m = self.m = tree.leaf_count
-        nodes = tree.nodes()
         eps = NOISE_FLOOR_REL * tree.root_var
         # own[n]: the variance node n passes to its children's coefficients
-        own = [0.0, tree.root_var] + [max(tree.noise_var[v], eps) for v in nodes[1:]]
+        own = [max(v, eps) for v in tree.heap_noise]
         # c[n]: the coefficient of child n in its parent's cap
         self.c = [0.0, 0.0]
         for n in range(2, 2 * m):
-            a = tree.alpha[nodes[n - 1]]
+            a = tree.heap_alpha[n]
             self.c.append(a * a * own[n // 2] / own[n] if own[n // 2] > 0 else 0.0)
         self.real = [i for i in range(1, m + 1) if i not in tree.padding]
 
@@ -171,20 +169,13 @@ class _OuterEval:
         return sum(r[n] - v[n] for n in rows)
 
 
-def _heap(tree: BinaryTreeSource, node) -> int:
-    k, i = node
-    if not (1 <= k <= tree.depth and 1 <= i <= 2 ** (k - 1)):
-        raise ModelError(f"invalid node {node} for depth {tree.depth}", code="unknown-node")
-    return 2 ** (k - 1) + i - 1
-
-
 def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
     """Rate cap at an internal node given its children's rates (nats).
 
     Zero noise variances below are perturbed to NOISE_FLOOR_REL times the
     root variance; the cap is continuous in that limit.
     """
-    h = _heap(tree, node)
+    h = tree.index(node)
     if h >= tree.leaf_count:
         raise ModelError(f"node {node} is not internal", code="unknown-node")
     return _OuterEval(tree).f(h, r1, r2)
@@ -233,7 +224,7 @@ def telescope_f(tree: BinaryTreeSource, node, A: Iterable[int], r: dict, mode: s
         raise ModelError("mode must be 'both' or 'only'", code="bad-mode")
     rates = _check_rates(tree, r)
     kept = _check_subset(tree, A)
-    h = _heap(tree, node)
+    h = tree.index(node)
     ev = _OuterEval(tree)
     _, outside, mixed = ev.plan(frozenset(range(1, ev.m + 1)) - kept)
     # only the subtree of h is composed: n lies in it when its leading bits are h

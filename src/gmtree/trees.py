@@ -7,8 +7,8 @@ Two representations live here:
   The order of the ``nodes`` tuple is meaningful: it is the covariance label
   order and, within a shared parent, the child order used by ``binarize``.
 * ``BinaryTreeSource``: a complete binary tree of depth L whose 2^(L-1)
-  level-L leaves are the encoder observations. Node (k, i) means position i
-  (1-based) at level k; level k holds 2^(k-1) nodes.
+  level-L leaves are the encoder observations, named (level, position) at
+  the API and held in the one heap layout that its docstring states.
 
 ``reroot`` re-hangs a tree at a new node by refitting parameters from the
 covariance (numerically robust, and exact for exact inputs up to float
@@ -43,6 +43,14 @@ __all__ = [
 NodeId = tuple[int, int]
 
 
+def _check_param(v, what: str, variance: bool = False):
+    """Refuse NaN and +-inf (NaN would pass a `< 0` test), and negative variances."""
+    if not math.isfinite(v):
+        raise ModelError(f"{what} is not a finite number: {v!r}", code="bad-number")
+    if variance and v < 0:
+        raise ModelError(f"negative {what}", code="negative-variance")
+
+
 @dataclass(frozen=True)
 class TreeNode:
     id: str
@@ -75,12 +83,9 @@ class MarkovTree:
         for n in self.nodes:
             if n.parent is not None and n.parent not in idset:
                 raise ModelError(f"unknown parent {n.parent!r}", code="bad-parent")
-            if n.noise_var < 0:
-                raise ModelError(
-                    f"negative noise variance at {n.id!r}", code="negative-variance"
-                )
-        if self.root_var < 0:
-            raise ModelError("negative root variance", code="negative-variance")
+            _check_param(n.alpha, f"alpha at {n.id!r}")
+            _check_param(n.noise_var, f"noise variance at {n.id!r}", variance=True)
+        _check_param(self.root_var, "root variance", variance=True)
         missing = self.observations - idset
         if missing:
             raise ModelError(
@@ -319,6 +324,15 @@ class BinaryTreeSource:
     ``alpha`` and ``noise_var`` are keyed by (level, position) for levels
     2..L. ``padding`` lists leaf positions whose encoder rate is pinned to
     zero (they carry no observation).
+
+    The heap layout, which every kernel reads instead of (level, position)
+    keys: node (k, i) has heap index n = 2^(k-1) + i - 1 (``index``), so the
+    root is 1, node n has children 2n and 2n + 1 and parent n // 2, and leaf
+    i of m = 2^(L-1) is m + i - 1. ``nodes()`` lists the nodes in heap
+    order, which is also the order of ``binary_cov``: node n is its row
+    n - 1. ``heap_alpha[n]`` and ``heap_noise[n]`` are the edge coefficient
+    and noise variance into node n; the root (n = 1) has coefficient 0 and
+    noise ``root_var``, and entry 0 is unused.
     """
 
     depth: int
@@ -326,39 +340,49 @@ class BinaryTreeSource:
     alpha: dict = field(default_factory=dict)
     noise_var: dict = field(default_factory=dict)
     padding: frozenset = frozenset()
+    heap_alpha: list = field(init=False, repr=False, compare=False)
+    heap_noise: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "padding", frozenset(self.padding))
         if self.depth < 1:
             raise ModelError("depth must be >= 1", code="bad-depth")
-        if self.root_var < 0:
-            raise ModelError("negative root variance", code="negative-variance")
-        want = {(k, i) for k in range(2, self.depth + 1) for i in range(1, 2 ** (k - 1) + 1)}
-        if set(self.alpha) != want or set(self.noise_var) != want:
+        _check_param(self.root_var, "root variance", variance=True)
+        edges = self.nodes()[1:]
+        if set(self.alpha) != set(edges) or set(self.noise_var) != set(edges):
             raise ModelError(
                 "alpha/noise_var must cover exactly levels 2..L", code="bad-topology"
             )
-        for key, v in self.noise_var.items():
-            if v < 0:
-                raise ModelError(
-                    f"negative noise variance at {key}", code="negative-variance"
-                )
+        for key in edges:
+            _check_param(self.alpha[key], f"alpha at {key}")
+            _check_param(self.noise_var[key], f"noise variance at {key}", variance=True)
         bad = [i for i in self.padding if not 1 <= i <= self.leaf_count]
         if bad:
             raise ModelError(f"padding positions out of range: {bad}", code="bad-padding")
+        heap_alpha = [0.0, 0.0] + [self.alpha[v] for v in edges]
+        heap_noise = [0.0, self.root_var] + [self.noise_var[v] for v in edges]
+        object.__setattr__(self, "heap_alpha", heap_alpha)
+        object.__setattr__(self, "heap_noise", heap_noise)
 
     @property
     def leaf_count(self) -> int:
         return 2 ** (self.depth - 1)
 
     def nodes(self) -> list[NodeId]:
-        """Every node in heap order: (k, i) is the n-th, n = 2^(k-1) + i - 1."""
+        """Every node (k, i) in heap order: ``nodes()[n - 1]`` has index n."""
         return [
             (k, i) for k in range(1, self.depth + 1) for i in range(1, 2 ** (k - 1) + 1)
         ]
 
     def leaves(self) -> list[NodeId]:
         return [(self.depth, i) for i in range(1, self.leaf_count + 1)]
+
+    def index(self, node) -> int:
+        """Heap index of node (k, i); ``unknown-node`` if it is not in the tree."""
+        k, i = node
+        if not (1 <= k <= self.depth and 1 <= i <= 2 ** (k - 1)):
+            raise ModelError(f"invalid node {node} for depth {self.depth}", code="unknown-node")
+        return 2 ** (k - 1) + i - 1
 
     @staticmethod
     def parent(node: NodeId) -> NodeId:
@@ -371,42 +395,30 @@ class BinaryTreeSource:
         return ((k + 1, 2 * i - 1), (k + 1, 2 * i))
 
     def var(self, node: NodeId) -> float:
-        k, i = node
+        n = self.index(node)
         v = self.root_var
-        # walk down from the root along the ancestor path
-        for level in range(2, k + 1):
-            j = ((i - 1) >> (k - level)) + 1
-            v = self.alpha[(level, j)] ** 2 * v + self.noise_var[(level, j)]
+        # walk down from the root's child along the ancestor path of n
+        for shift in range(n.bit_length() - 2, -1, -1):
+            a = n >> shift
+            v = self.heap_alpha[a] ** 2 * v + self.heap_noise[a]
         return v
 
 
-def _binary_label(node: NodeId) -> str:
-    return f"x{node[0]}_{node[1]}"
-
-
 def to_markov_tree(tree: BinaryTreeSource) -> MarkovTree:
-    """View a BinaryTreeSource as a generic MarkovTree (labels xK_I)."""
-    nodes = [TreeNode(_binary_label((1, 1)), None)]
-    for k in range(2, tree.depth + 1):
-        for i in range(1, 2 ** (k - 1) + 1):
-            nodes.append(
-                TreeNode(
-                    _binary_label((k, i)),
-                    _binary_label(BinaryTreeSource.parent((k, i))),
-                    tree.alpha[(k, i)],
-                    tree.noise_var[(k, i)],
-                )
-            )
+    """View a BinaryTreeSource as a generic MarkovTree (labels xK_I, heap order)."""
+    labels = [f"x{k}_{i}" for k, i in tree.nodes()]
+    nodes = [TreeNode(labels[0], None)] + [
+        TreeNode(labels[n - 1], labels[n // 2 - 1], tree.heap_alpha[n], tree.heap_noise[n])
+        for n in range(2, 2 * tree.leaf_count)
+    ]
     obs = frozenset(
-        _binary_label(leaf)
-        for leaf in tree.leaves()
-        if leaf[1] not in tree.padding
+        labels[tree.index(v) - 1] for v in tree.leaves() if v[1] not in tree.padding
     )
     return MarkovTree(tuple(nodes), tree.root_var, obs)
 
 
 def binary_cov(tree: BinaryTreeSource) -> Cov:
-    """Covariance over all nodes, level-major order ((1,1),(2,1),(2,2),...)."""
+    """Covariance over all nodes in heap order: node n is row n - 1."""
     return tree_to_cov(to_markov_tree(tree))
 
 

@@ -85,19 +85,20 @@ class LlseReport:
         return abs(self.gap) <= 3.0 * self.se
 
 
-def _sample_states(tree: BinaryTreeSource, innov, rng, size: int) -> dict:
+def _sample_states(tree: BinaryTreeSource, innov, rng, size: int) -> list:
     """Tree-structural draw: same recursion as the Gaussian source, alternate
-    iid innovations (zero mean, unit variance) at every node."""
-    x = {(1, 1): math.sqrt(tree.root_var) * innov(rng, size)}
-    for k in range(2, tree.depth + 1):
-        for i in range(1, 2 ** (k - 1) + 1):
-            node = (k, i)
-            parent = x[BinaryTreeSource.parent(node)]
-            nv = tree.noise_var[node]
-            val = tree.alpha[node] * parent
-            if nv > 0.0:
-                val = val + math.sqrt(nv) * innov(rng, size)
-            x[node] = val
+    iid innovations (zero mean, unit variance) at every node with noise.
+
+    Returns the node states by heap index (entry 0 unused); the innovations
+    are drawn in heap order, so level by level.
+    """
+    x = [None, math.sqrt(tree.root_var) * innov(rng, size)]
+    for n in range(2, 2 * tree.leaf_count):
+        val = tree.heap_alpha[n] * x[n // 2]
+        nv = tree.heap_noise[n]
+        if nv > 0.0:
+            val = val + math.sqrt(nv) * innov(rng, size)
+        x.append(val)
     return x
 
 
@@ -127,17 +128,17 @@ def llse_equivalence_check(
     a = _check_alpha(tree, alpha)
     joint = build_joint(tree, a)
     m = tree.leaf_count
-    L = tree.depth
-    n_states = len(joint.labels) - m
-    u_idx = list(range(n_states, n_states + m))
-    W, err_cov = llse_coefficients(joint.matrix, [joint.index("x1_1")], u_idx)
+    u_idx = list(range(2 * m - 1, 3 * m - 1))  # u_1..u_m follow the 2m - 1 nodes
+    W, err_cov = llse_coefficients(joint.matrix, [0], u_idx)  # the root is row 0
     gaussian_mmse = max(float(err_cov[0, 0]), 0.0)
     w = np.asarray(W)[0]
 
-    leaf_sd = [math.sqrt(tree.var((L, i + 1))) for i in range(m)]
+    leaf_sd = [math.sqrt(tree.var(v)) for v in tree.leaves()]
     chan_sd = [leaf_sd[i] * math.sqrt(max(1.0 - a[i] * a[i], 0.0)) for i in range(m)]
 
-    mom_idx = [joint.index("x1_1")] + [joint.index(f"x{L}_{i + 1}") for i in range(m)]
+    # the root and the leaves by heap index; the joint holds node n in row n - 1
+    heap = [1] + [tree.index(v) for v in tree.leaves()]
+    mom_idx = [n - 1 for n in heap]
     K = np.asarray(joint.matrix)[np.ix_(mom_idx, mom_idx)]
     nm = len(mom_idx)
 
@@ -150,16 +151,16 @@ def llse_equivalence_check(
         size = min(SHARD_SIZE, samples - done)
         rng = np.random.default_rng(seq.spawn(1)[0])
         states = _sample_states(tree, innov, rng, size)
-        leaves = [states[(L, i + 1)] for i in range(m)]
+        vecs = [states[n] for n in heap]
+        leaves = vecs[1:]
         u = [
             a[i] * leaves[i] + chan_sd[i] * rng.standard_normal(size)
             for i in range(m)
         ]
-        resid = states[(1, 1)] - sum(w[i] * u[i] for i in range(m))
+        resid = vecs[0] - sum(w[i] * u[i] for i in range(m))
         e = resid * resid
         err_sum.append(float(e.sum()))
         err_sq.append(float((e * e).sum()))
-        vecs = [states[(1, 1)]] + leaves
         for r in range(nm):
             for c in range(r, nm):
                 prod = vecs[r] * vecs[c]

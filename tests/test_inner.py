@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gmtree import (
     BinaryTreeSource,
     ChannelContext,
+    Cov,
     DomainError,
     ModelError,
     RankFunction,
@@ -37,6 +38,17 @@ def test_build_joint_layout(small_tree):
     assert abs(M[3, 3] - small_tree.var((2, 1))) < 1e-12
     assert abs(M[3, 1] - 0.8 * small_tree.var((2, 1))) < 1e-12
     assert abs(M[3, 4] - 0.8 * 0.6 * M[1, 2]) < 1e-12
+
+
+def test_joint_positions_need_a_build_joint_size(small_tree):
+    joint = build_joint(small_tree, [0.8, 0.6])
+    for rows in (4, 8):  # 3m - 1 rows with m = 5/3, and m = 3 is no leaf count
+        bad = Cov(tuple(f"v{i}" for i in range(rows)), np.eye(rows))
+        for call in (lambda: distortion(bad), lambda: rank_f(bad, [1])):
+            with pytest.raises(ModelError) as err:
+                call()
+            assert err.value.code == "bad-joint"
+    assert distortion(joint) == mmse(joint.matrix, 0, [3, 4])
 
 
 def test_rank_function_closed_form_single_encoder(small_tree):

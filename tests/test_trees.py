@@ -1,21 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from gmtree import (
     BinaryTreeSource,
+    DomainError,
     MarkovTree,
     ModelError,
     TreeNode,
     binarize,
     binary_cov,
     fit_tree_params,
+    fixture_path,
+    load_model,
     reroot,
     sample_tree,
     to_markov_tree,
     tree_to_cov,
     validate_markov,
 )
-from conftest import random_binary_tree
+from conftest import random_binary_tree, small_tree  # noqa: F401
 
 
 def chain3() -> MarkovTree:
@@ -51,6 +56,29 @@ def test_markov_tree_validation_errors():
         MarkovTree((TreeNode("a", None), TreeNode("b", "a", 0.5, -1.0)), 1.0, frozenset())
     with pytest.raises(ModelError):
         MarkovTree((TreeNode("a", None),), 1.0, frozenset({"zzz"}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["root_var", "alpha", "noise_var"])
+def test_constructors_refuse_non_finite_parameters(where, bad):
+    # NaN slips through every `< 0` check and used to crash the solvers later
+    root_var, alpha, noise = 1.0, 0.9, 0.19
+    if where == "root_var":
+        root_var = bad
+    elif where == "alpha":
+        alpha = bad
+    else:
+        noise = bad
+    with pytest.raises(ModelError) as err:
+        BinaryTreeSource(
+            2, root_var, {(2, 1): alpha, (2, 2): 0.7}, {(2, 1): noise, (2, 2): 0.51}
+        )
+    assert err.value.code == "bad-number"
+    with pytest.raises(ModelError) as err:
+        MarkovTree(
+            (TreeNode("a", None), TreeNode("b", "a", alpha, noise)), root_var, frozenset({"b"})
+        )
+    assert err.value.code == "bad-number"
 
 
 def test_validate_markov_accepts_tree_covariance():
@@ -127,11 +155,34 @@ def test_binary_tree_indexing_helpers():
 
 
 def test_node_var_walks_ancestor_path():
-    t = random_binary_tree(3, 1)
-    cov = binary_cov(t)
-    for node in t.nodes():
-        lbl = f"x{node[0]}_{node[1]}"
-        assert abs(t.var(node) - cov.matrix[cov.index(lbl)][cov.index(lbl)]) < 1e-12
+    # the heap layout against the labelled covariance, on random complete
+    # trees and on reductions of the figure tree (copy edges and padding)
+    sources = [random_binary_tree(L, L) for L in range(1, 6)]
+    fig = load_model(fixture_path("figure_tree"))
+    for v in fig.ids:
+        try:
+            sources.append(binarize(reroot(fig, v))[0])
+        except DomainError:
+            continue  # rerooting at a zero-variance node is ill-posed
+    assert len(sources) > 5
+    for t in sources:
+        cov = binary_cov(t)
+        assert t.heap_noise[1] == t.root_var
+        for node in t.nodes():
+            n = t.index(node)
+            assert cov.index(f"x{node[0]}_{node[1]}") == n - 1
+            if n > 1:
+                assert t.heap_alpha[n] == t.alpha[node]
+                assert t.heap_noise[n] == t.noise_var[node]
+                assert t.index(BinaryTreeSource.parent(node)) == n // 2
+            assert t.var(node) == cov.matrix[n - 1][n - 1]
+
+
+@pytest.mark.parametrize("node", [(0, 1), (1, 5), (-3, 2), (5, 1), (2, 7)])
+def test_nodes_outside_the_tree_are_unknown(small_tree, node):
+    with pytest.raises(ModelError) as err:
+        small_tree.var(node)
+    assert err.value.code == "unknown-node"
 
 
 def test_to_markov_tree_labels_and_observations():
