@@ -13,9 +13,10 @@ import numpy as np
 __all__ = ["golden_min", "coordinate_descent", "multi_start"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 18  # golden-section steps per line search
 
 
-def golden_min(fn, lo: float, hi: float, iters: int = 18):
+def golden_min(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS):
     """Golden-section minimum of fn on [lo, hi]; returns (x, fn(x)).
 
     Keeps the best evaluated point, so a non-unimodal section still returns
@@ -45,7 +46,7 @@ def golden_min(fn, lo: float, hi: float, iters: int = 18):
     return best, fbest
 
 
-def coordinate_descent(fn, x0, coords, *, sweeps=60, golden_iters=18, tol=1e-8):
+def coordinate_descent(fn, x0, coords, *, sweeps=60, golden_iters=GOLDEN_ITERS, tol=1e-8):
     """Cyclic per-coordinate golden-section descent of fn over [0,1]^m."""
     x = list(map(float, x0))
     fx = fn(x)
@@ -76,7 +77,7 @@ def multi_start(
     starts=16,
     seed=0,
     sweeps=60,
-    golden_iters=18,
+    golden_iters=GOLDEN_ITERS,
     tol=1e-8,
     extra_starts=(),
 ):

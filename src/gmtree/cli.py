@@ -324,8 +324,7 @@ def cmd_divergence(args):
     grid = _parse_csv_list(args.sigma2_grid, float, "sigma2 grid")
     lp = LatticePair(args.n, args.m)
     report = lattice.divergence_report(
-        grid, args.distortion, lp,
-        samples=args.samples, seed=args.seed, starts=args.starts,
+        grid, args.distortion, lp, samples=args.samples, seed=args.seed
     )
     rows = [
         (r.sigma2, r.separation_rate, r.lattice_rate, r.lattice_mse)
@@ -466,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--distortion", type=float, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--starts", type=int, default=_env("STARTS", int, 12))
     p.add_argument("--out")
     _add_mc_opts(p, 200_000)
     p.set_defaults(func=cmd_divergence)

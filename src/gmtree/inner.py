@@ -218,6 +218,11 @@ def vertex_rates(f: RankFunction, perm: Sequence[int]) -> np.ndarray:
 
 _NEWTON_CAP = 50  # repair iterations; from s = 1 they converge quadratically
 _NEWTON_STEP_RTOL = 1e-12  # a step that moves s by less than this is the last
+# region_slice's search budget per supporting weight, lighter than the
+# min_weighted_sum defaults
+SLICE_SWEEPS = 40
+SLICE_GOLDEN_ITERS = 14
+SLICE_TOL = 1e-7
 
 
 def _pivots(M):
@@ -401,10 +406,6 @@ class ChannelContext:
 
         return f
 
-    def rank_fast(self, alpha, A) -> float:
-        """f(A) via the log-determinant identity (optimizer-grade)."""
-        return self.rank_function(alpha)(set(A))
-
     def repair(self, direction, d):
         """Scale a direction onto the distortion-d boundary; None if it can't reach.
 
@@ -462,7 +463,6 @@ def min_weighted_sum(
     *,
     starts: int = 16,
     sweeps: int = 60,
-    golden_iters: int = 18,
     tol: float = 1e-8,
     seed: int = 0,
     warm=None,
@@ -512,7 +512,6 @@ def min_weighted_sum(
         starts=starts,
         seed=seed,
         sweeps=sweeps,
-        golden_iters=golden_iters,
         tol=tol,
         extra_starts=extra,
     )
@@ -531,20 +530,20 @@ def region_slice(
     tree: BinaryTreeSource,
     d: float,
     pair: tuple[int, int],
-    fixed_rates: dict | None = None,
     *,
     points: int = 17,
     starts: int = 8,
-    sweeps: int = 40,
-    golden_iters: int = 14,
     seed: int = 0,
 ) -> list[tuple[float, float]]:
     """Boundary polyline of the (R_a, R_b) slice at distortion d.
 
-    Rates of the remaining encoders are held at ``fixed_rates`` (default:
-    unconstrained). Sweeps supporting weights over the two free coordinates
-    and collects the Pareto corners; points are achievable by construction.
-    With a single encoder the slice degenerates to one threshold point.
+    The other encoders' rates are unconstrained, so at one channel the slice
+    is {R_a >= f{a}, R_b >= f{b}, R_a + R_b >= f{a,b}} for the rank function
+    f, with the two corners (f{a}, max(f{b}, f{a,b} - f{a})) and
+    (max(f{a}, f{a,b} - f{b}), f{b}). Sweeps supporting weights over the two
+    coordinates, minimizing over channels at each, and keeps the Pareto
+    corners; points are achievable by construction. With a single encoder
+    the slice degenerates to one threshold point.
     """
     ctx = ChannelContext(tree)
     m = ctx.m
@@ -559,46 +558,13 @@ def region_slice(
         raise ModelError("pair must be two distinct encoder positions", code="bad-pair")
     if (a - 1) in ctx.padding or (b - 1) in ctx.padding:
         raise ModelError("pair encoders must not be padding", code="bad-pair")
-    others = [i for i in range(1, m + 1) if i not in (a, b)]
-    fixed = {i: (0.0 if (i - 1) in ctx.padding else math.inf) for i in others}
-    if fixed_rates:
-        for k, v in fixed_rates.items():
-            if int(k) not in fixed:
-                raise ModelError(f"fixed rate for non-free encoder {k}", code="bad-pair")
-            fixed[int(k)] = float(v)
-
-    helper_subsets = [
-        frozenset(extra)
-        for r in range(len(others) + 1)
-        for extra in combinations(others, r)
-    ]
 
     def corners(alpha):
-        # best (R_a, R_b) corners of the slice polytope at this channel
         rank = ctx.rank_function(alpha)
-        for A in helper_subsets:
-            have = sum(fixed[i] for i in A)
-            if not math.isinf(have) and have < rank(A) - 1e-9:
-                return None  # the fixed helper rates cannot support this channel
-
-        def cval(core):
-            best = 0.0
-            for A in helper_subsets:
-                slack = sum(fixed[i] for i in A)
-                if math.isinf(slack):
-                    continue  # unconstrained helpers absorb the requirement
-                f = rank(A | core)
-                if math.isinf(f):
-                    return math.inf
-                best = max(best, f - slack)
-            return best
-
-        ca, cb, cab = cval({a}), cval({b}), cval({a, b})
+        ca, cb, cab = rank({a}), rank({b}), rank({a, b})
         if math.isinf(ca) or math.isinf(cb) or math.isinf(cab):
             return None
-        p1 = (ca, max(cb, cab - ca))
-        p2 = (max(ca, cab - cb), cb)
-        return p1, p2
+        return (ca, max(cb, cab - ca)), (max(ca, cab - cb), cb)
 
     out = []
     lambdas = [j / (points - 1) for j in range(points)] if points > 1 else [0.5]
@@ -618,9 +584,9 @@ def region_slice(
             ctx.real,
             starts=starts,
             seed=seed,
-            sweeps=sweeps,
-            golden_iters=golden_iters,
-            tol=1e-7,
+            sweeps=SLICE_SWEEPS,
+            golden_iters=SLICE_GOLDEN_ITERS,
+            tol=SLICE_TOL,
         )
         if not math.isfinite(best_f):
             continue

@@ -7,8 +7,9 @@ transmits the result modulo the coarse lattice 2^m Z, which costs n + m bits;
 the decoder reconstructs x3 from the modular difference. The empirical MSE of
 that scheme is compared against a closed-form bound, and against the minimal
 sum rate any scheme built on separately quantizing x1 and x2 must pay to hit
-the same distortion. The former is constant in sigma2, the latter grows
-without bound.
+the same distortion. The former is constant in sigma2. The latter has the
+closed form 1/2 log1p((1 - rho^2 + 2a) / a^2) at a = d / (2 sigma2 (1 - d))
+(``separation_min_sum_rate``) and grows like 1/2 log sigma2, without bound.
 
 Monte Carlo work is sharded; every shard derives its own seed and the merge
 is an order-independent sum reduction.
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ._search import multi_start
 from .errors import DomainError, ModelError
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1_000_000
-RATIO_SPAN = 30.0  # |log beta - log alpha| search window for the separation optimizer
 
 
 @dataclass(frozen=True)
@@ -180,54 +178,40 @@ def _sep_distortion(a: float, b: float, sigma2: float, rho: float, one_m_rho2: f
     return 1.0 - num / den
 
 
-def separation_min_sum_rate(
-    sigma2: float,
-    d: float,
-    *,
-    starts: int = 12,
-    sweeps: int = 80,
-    golden_iters: int = 24,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> float:
+def separation_min_sum_rate(sigma2: float, d: float, *, seed: int = 0) -> float:
     """Minimal helper sum rate of separate Gaussian quantization at distortion d.
 
     The two quantizer qualities are noise-to-signal ratios (a, b) > 0; the sum
     rate falls and the distortion of the difference estimate rises as they
-    grow, so the optimum sits on the distortion boundary. The search runs
-    multi-start over the log ratio of the two qualities, with the common log
-    scale solved to the boundary exactly on every evaluation.
+    grow, so the optimum sits on the distortion boundary. There, with
+    s = a + b, p = ab, q = 2(1 + rho) + s and kappa = 4 sigma2 (1 - d), the
+    boundary reads (1 - rho^2) + s + p = q / kappa, so p is linear in s and
+
+        R = 1/2 log(q / ((1 - kappa) q + kappa (1 + rho)^2)),
+
+    which increases in s. Real ratios need p <= s^2 / 4. For 0 < d < 1 the
+    quadratic s^2 / 4 - p(s) is negative at s = 0 and has one positive root,
+    so the least feasible s is that root, where s^2 = 4p and a = b: the
+    symmetric boundary point
+
+        a = b = d / (2 sigma2 (1 - d)),   R = 1/2 log1p((1 - rho^2 + 2a) / a^2).
+
+    As sigma2 grows, 1 - rho^2 ~ 1/sigma2 and a ~ 1/sigma2, so R grows like
+    1/2 log sigma2. ``seed`` has no effect; it is accepted so callers that
+    pass one keep working.
     """
-    rho, one_m_rho2 = _sep_terms(sigma2)
+    _, one_m_rho2 = _sep_terms(sigma2)
     if d <= 0.0:
         raise DomainError("distortion must be positive", code="infeasible-distortion")
     if d >= 1.0:
         return 0.0
-
-    def boundary_rate(log_ratio: float) -> float:
-        def g(c: float) -> float:
-            a = math.exp(c)
-            b = math.exp(c + log_ratio)
-            return _sep_distortion(a, b, sigma2, rho, one_m_rho2) - d
-
-        c = brentq(g, -200.0, 60.0, xtol=1e-12, rtol=4e-15, maxiter=300)
-        return _sep_rate(math.exp(c), math.exp(c + log_ratio), one_m_rho2)
-
-    def objective(x) -> float:
-        return boundary_rate((2.0 * x[0] - 1.0) * RATIO_SPAN)
-
-    _, best = multi_start(
-        objective,
-        1,
-        [0],
-        starts=starts,
-        seed=seed,
-        sweeps=sweeps,
-        golden_iters=golden_iters,
-        tol=tol,
-        extra_starts=[[0.5]],
-    )
-    return best
+    a = d / (2.0 * sigma2 * (1.0 - d))
+    if a > 1e-150:
+        return 0.5 * math.log1p((one_m_rho2 + 2.0 * a) / (a * a))
+    # a^2 would leave the float range; the log1p argument exceeds 2 / a > 1e150
+    # there, so log1p equals its log to within the float precision
+    log_a = math.log(d) - math.log(2.0) - math.log(sigma2) - math.log1p(-d)
+    return 0.5 * math.log(one_m_rho2 + 2.0 * a) - log_a
 
 
 @dataclass(frozen=True)
@@ -262,7 +246,6 @@ def divergence_report(
     *,
     samples: int = 200_000,
     seed: int = 0,
-    starts: int = 12,
 ) -> DivergenceReport:
     """Side-by-side rates and distortions over a grid of source variances.
 
@@ -282,7 +265,7 @@ def divergence_report(
     rate = lattice_sum_rate(lp)
     rows = []
     for j, s2 in enumerate(grid):
-        sep = separation_min_sum_rate(s2, d, starts=starts, seed=seed + j)
+        sep = separation_min_sum_rate(s2, d)
         mc = lattice_mc_distortion(s2, lp, samples=samples, seed=seed + j)
         rows.append(DivergenceRow(s2, sep, rate, mc.value, mc.se))
     return DivergenceReport(d, bound, tuple(rows))

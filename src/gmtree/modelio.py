@@ -54,6 +54,15 @@ def to_fraction(v) -> Fraction:
     raise ModelError(f"not a number: {v!r}", code="bad-number")
 
 
+def _float(v) -> float:
+    """Float value of a schema number; one beyond the float range is refused."""
+    x = to_fraction(v)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ModelError(f"number beyond the float range: {v!r}", code="bad-number") from None
+
+
 def fmt(x) -> str:
     """Schema text for a number; exact for Fractions, round-tripping for floats."""
     if isinstance(x, Fraction):
@@ -90,6 +99,9 @@ def _parse_covariance(obj) -> CovarianceModel:
     ):
         raise ModelError("matrix must be square and match labels", code="bad-model")
     ent = tuple(tuple(to_fraction(v) for v in row) for row in matrix)
+    for row in matrix:
+        for v in row:
+            _float(v)  # cov() must be able to convert every entry
     for i in range(n):
         for j in range(i):
             if ent[i][j] != ent[j][i]:
@@ -99,7 +111,7 @@ def _parse_covariance(obj) -> CovarianceModel:
 
 def _parse_tree(obj) -> MarkovTree:
     nodes_raw = _require(obj, "nodes")
-    root_var = float(to_fraction(_require(obj, "root_var")))
+    root_var = _float(_require(obj, "root_var"))
     obs = _require(obj, "observations")
     if not isinstance(nodes_raw, list) or not nodes_raw:
         raise ModelError("tree needs a nonempty node list", code="bad-model")
@@ -118,8 +130,8 @@ def _parse_tree(obj) -> MarkovTree:
                 TreeNode(
                     node_id,
                     parent,
-                    float(to_fraction(_require(nd, "alpha"))),
-                    float(to_fraction(_require(nd, "noise_var"))),
+                    _float(_require(nd, "alpha")),
+                    _float(_require(nd, "noise_var")),
                 )
             )
     return MarkovTree(tuple(nodes), root_var, frozenset(obs))
@@ -129,12 +141,12 @@ def _parse_binary(obj) -> BinaryTreeSource:
     depth = _require(obj, "depth")
     if not isinstance(depth, int) or depth < 1:
         raise ModelError("depth must be a positive integer", code="bad-model")
-    root_var = float(to_fraction(_require(obj, "root_var")))
+    root_var = _float(_require(obj, "root_var"))
     alpha, noise = {}, {}
     for nd in _require(obj, "nodes"):
         key = (int(_require(nd, "level")), int(_require(nd, "pos")))
-        alpha[key] = float(to_fraction(_require(nd, "alpha")))
-        noise[key] = float(to_fraction(_require(nd, "noise_var")))
+        alpha[key] = _float(_require(nd, "alpha"))
+        noise[key] = _float(_require(nd, "noise_var"))
     padding = frozenset(int(i) for i in obj.get("padding", []))
     return BinaryTreeSource(depth, root_var, alpha, noise, padding)
 

@@ -59,6 +59,11 @@ __all__ = [
 
 NOISE_FLOOR_REL = 1e-9  # zero noise variances are lifted to this times the root variance
 PIN_STEPS = 60  # Newton steps allowed to the root pin; the solver's pins take 4-8
+# rd_out_min_weighted_free's search budget
+FREE_SWEEPS = 120
+FREE_GOLDEN_ITERS = 16
+FREE_TOL = 1e-6
+WARM_STARTS = 6  # matchup_verify's starts for every weight vector after the first
 
 
 def _factor(r: float) -> float:
@@ -101,10 +106,18 @@ class _OuterEval:
         m = self.m
         return self.sweep([0.0] * m + [float(v) for v in leaf_rates], range(m - 1, 0, -1))
 
+    def reach(self, u) -> float:
+        """Supremum over t of the root rate at leaf rates t * u (u >= 0).
+
+        The root rate is nondecreasing in t, so its supremum is ``compose``
+        with the leaves of u's support at +inf and the rest at 0.
+        """
+        return self.compose([math.inf if v > 0.0 else 0.0 for v in u])[1]
+
     def max_root(self) -> float:
         """Supremum of the composed root rate: real leaves at +inf, padding at 0."""
         real = set(self.real)
-        return self.compose([math.inf if i in real else 0.0 for i in range(1, self.m + 1)])[1]
+        return self.reach([float(i in real) for i in range(1, self.m + 1)])
 
     def ray(self, t: float, u) -> tuple[list, float]:
         """``compose`` at leaf rates t * u, with the root's tangent dr[1]/dt.
@@ -307,7 +320,6 @@ def rd_out_min_weighted(
     *,
     starts: int = 32,
     sweeps: int = 200,
-    golden_iters: int = 18,
     tol: float = 1e-6,
     seed: int = 0,
     warm=None,
@@ -350,9 +362,7 @@ def rd_out_min_weighted(
         u = [0.0] * m
         for i in real0:
             u[i] = x[i] / mx
-        pos = [v for v in u if v > 0]
-        t_hi = 60.0 / min(pos)
-        if ev.compose([t_hi * ui for ui in u])[1] < rho:
+        if ev.reach(u) < rho:
             return None
         return ev.pin(u, rho)[1]
 
@@ -374,7 +384,6 @@ def rd_out_min_weighted(
         starts=starts,
         seed=seed,
         sweeps=sweeps,
-        golden_iters=golden_iters,
         tol=tol,
         extra_starts=extra,
     )
@@ -394,9 +403,6 @@ def rd_out_min_weighted_free(
     d: float,
     *,
     starts: int = 32,
-    sweeps: int = 120,
-    golden_iters: int = 16,
-    tol: float = 1e-6,
     seed: int = 0,
 ) -> float:
     """Audit twin of rd_out_min_weighted over fully free node rates.
@@ -463,9 +469,9 @@ def rd_out_min_weighted_free(
         list(range(len(coords))),
         starts=starts,
         seed=seed,
-        sweeps=sweeps,
-        golden_iters=golden_iters,
-        tol=tol,
+        sweeps=FREE_SWEEPS,
+        golden_iters=FREE_GOLDEN_ITERS,
+        tol=FREE_TOL,
     )
     return best_f
 
@@ -494,9 +500,7 @@ def matchup_verify(
     *,
     tol: float = 2e-3,
     starts: int = 16,
-    warm_starts: int = 6,
     sweeps: int = 60,
-    golden_iters: int = 18,
     seed: int = 0,
 ) -> MatchupReport:
     """Run both bound optimizers per weight vector and report the gaps.
@@ -511,15 +515,13 @@ def matchup_verify(
     ev = _OuterEval(tree)
     warm_in = warm_out = None
     for idx, wv in enumerate(weight_vectors):
-        budget = starts if idx == 0 else warm_starts
+        budget = starts if idx == 0 else WARM_STARTS
         isol = min_weighted_sum(
-            tree, wv, d,
-            starts=budget, sweeps=sweeps, golden_iters=golden_iters,
+            tree, wv, d, starts=budget, sweeps=sweeps,
             seed=seed + idx, warm=warm_in, _ctx=ictx,
         )
         osol = rd_out_min_weighted(
-            tree, wv, d,
-            starts=budget, sweeps=sweeps, golden_iters=golden_iters,
+            tree, wv, d, starts=budget, sweeps=sweeps,
             seed=seed + idx, warm=warm_out, _ev=ev,
         )
         warm_in, warm_out = isol.alpha, osol.theta

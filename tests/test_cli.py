@@ -126,6 +126,14 @@ def test_reduce_figure_fixture(tmp_path):
     assert val == pytest.approx(0.5 * math.log(2.0), abs=1e-6)
 
 
+def test_number_beyond_float_range_is_input_error(tmp_path):
+    p = write_model(tmp_path, "huge.json",
+                    {"binary_tree": {"depth": 1, "root_var": "1e400", "nodes": []}})
+    r = run_cli("inner", "--tree", p, "-d", "0.5")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "bad-number"
+
+
 def test_reduce_unknown_target():
     r = run_cli("reduce", fixture_path("figure_tree"), "--target", "zzz")
     assert r.returncode == 2

@@ -14,15 +14,19 @@ from gmtree import (
     DomainError,
     ModelError,
     RankFunction,
+    binarize,
     build_joint,
     distortion,
+    fixture_path,
     gaussian_cmi,
+    load_model,
     min_weighted_sum,
     mmse,
     polymatroid_audit,
     rank_f,
     rd_out_min_weighted,
     region_slice,
+    reroot,
     tabulate_rank,
     vertex_rates,
     weight_order,
@@ -76,7 +80,7 @@ def test_channel_context_agrees_with_oracle(small_tree):
         joint = build_joint(small_tree, a)
         assert abs(ctx.distortion(a) - distortion(joint)) < 1e-11
         for A in ([1], [2], [1, 2]):
-            assert abs(ctx.rank_fast(a, A) - rank_f(joint, A)) < 1e-10
+            assert abs(ctx.rank_function(a)(A) - rank_f(joint, A)) < 1e-10
 
 
 def _oracle_chain_value(tree, alpha, weights):
@@ -148,7 +152,7 @@ def test_kernels_on_degenerate_inputs():
     # at alpha = (1, 1) the channel is noiseless: U is singular
     assert ctx.distortion([1.0, 1.0]) < 1e-12
     assert ctx.chain_value([1.0, 1.0], [1, 2], [1.0, 1.0]) == math.inf
-    assert ctx.rank_fast([1.0, 1.0], [1]) == math.inf
+    assert ctx.rank_function([1.0, 1.0])([1]) == math.inf
 
     # an alpha = 1 leaf with a noisy partner: U is positive definite, but the
     # leaf itself is sent without noise
@@ -160,8 +164,8 @@ def test_kernels_on_degenerate_inputs():
     # with weight 0 the noiseless leaf is last in the chain: only f({2}) is paid
     f2 = rank_f(build_joint(t, a), [2])
     assert abs(ctx.chain_value(a, [2, 1], [0.0, 1.0]) - f2) < 1e-10
-    assert abs(ctx.rank_fast(a, [2]) - f2) < 1e-10
-    assert ctx.rank_fast(a, [1]) == math.inf
+    assert abs(ctx.rank_function(a)([2]) - f2) < 1e-10
+    assert ctx.rank_function(a)([1]) == math.inf
     assert list(ctx.chain_rates(a, [1, 2])) == [math.inf, math.inf]
 
 
@@ -187,7 +191,7 @@ def test_kernels_finite_when_off_diagonal_exceeds_diagonal():
     assert np.max(np.abs(ctx.chain_rates(a, perm) - want)) < 1e-10
     joint = build_joint(t, a)
     for A in ([1], [2], [1, 2]):
-        assert abs(ctx.rank_fast(a, A) - rank_f(joint, A)) < 1e-10
+        assert abs(ctx.rank_function(a)(A) - rank_f(joint, A)) < 1e-10
 
 
 def test_min_weighted_sum_meets_outer_when_off_diagonal_exceeds_diagonal():
@@ -343,15 +347,23 @@ def test_solution_rates_support_achieved_distortion(small_tree):
         assert sum(sol.rates[i - 1] for i in A) >= f(A) - 1e-9
 
 
-def test_region_slice_is_pareto_and_anchored(small_tree):
-    pts = region_slice(small_tree, 0.4, (1, 2), points=9, starts=6)
+@pytest.mark.parametrize("case", ["small", "padded"])
+def test_region_slice_is_pareto_and_anchored(case, small_tree):
+    if case == "small":
+        tree, d, pair, points, starts = small_tree, 0.4, (1, 2), 9, 6
+    else:
+        # 16 leaves after binarize, 12 of them padding; leaves 1 and 5 are x1, x2
+        tree = binarize(reroot(load_model(fixture_path("figure_tree")), "b"))[0]
+        d, pair, points, starts = 0.5, (1, 5), 5, 2
+    pts = region_slice(tree, d, pair, points=points, starts=starts)
     assert len(pts) >= 2
     ras = [p[0] for p in pts]
     rbs = [p[1] for p in pts]
     assert all(x < y + 1e-12 for x, y in zip(ras, ras[1:]))
     assert all(x > y - 1e-12 for x, y in zip(rbs, rbs[1:]))
     # the sum-rate corner is on or above the joint minimum
-    best_sum = min_weighted_sum(small_tree, [1.0, 1.0], 0.4).value
+    w = [1.0 if i in pair else 0.0 for i in range(1, tree.leaf_count + 1)]
+    best_sum = min_weighted_sum(tree, w, d).value
     assert min(ra + rb for ra, rb in pts) >= best_sum - 1e-6
 
 

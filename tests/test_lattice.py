@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -191,24 +192,25 @@ def test_separation_vacuous_and_infeasible():
 def test_separation_rate_vanishes_near_unit_distortion():
     # the helpers may run ever noisier as the target loosens, so the optimal
     # sum rate decays to zero, though only on the scale of sigma2*(1-d)
-    vals = [separation_min_sum_rate(100.0, d, starts=6)
+    vals = [separation_min_sum_rate(100.0, d)
             for d in (0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     assert vals[-1] < 1e-6
 
 
 def test_separation_strictly_increasing_in_sigma2():
-    rates = [separation_min_sum_rate(s, 0.5, starts=8) for s in (10.0, 1e3, 1e6)]
+    rates = [separation_min_sum_rate(s, 0.5) for s in (10.0, 1e3, 1e6)]
     assert rates[0] < rates[1] < rates[2]
     # conservative growth floor per decade past 1e3
     assert rates[2] - rates[1] >= 0.3 * 3
 
 
-def test_separation_matches_log_grid_oracle():
+@pytest.mark.parametrize("sigma2, d", [
+    (1e3, 0.5), (0.75, 0.2), (10.0, 0.9), (1e5, 0.3)])
+def test_separation_matches_log_grid_oracle(sigma2, d):
     # brute grid in (log a, log b) at step 1e-2 upper-bounds the optimum and
     # should sit within a grid cell of it
-    sigma2, d = 1e3, 0.5
-    got = separation_min_sum_rate(sigma2, d, starts=10)
+    got = separation_min_sum_rate(sigma2, d)
     rho, omr = _sep_terms(sigma2)
     grid = np.arange(-18.0, 2.0, 1e-2)
     ea = np.exp(grid)
@@ -223,9 +225,46 @@ def test_separation_matches_log_grid_oracle():
     assert got >= best - 0.05
 
 
+def _decimal_symmetric_rate(sigma2: float, d: float) -> Decimal:
+    # rate at the symmetric boundary point a = b, with a found by bisection on
+    # the distortion itself, 1 - (2(1+rho) + 2a) / (4 sigma2 ((1+a)^2 - rho^2)),
+    # which increases in a; 50 digits beyond the scale of a >= d / (2 sigma2)
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, math.ceil(math.log10(2.0 * sigma2) - math.log10(d)))
+        s2, dd = Decimal(sigma2), Decimal(d)
+        rho = 1 - 1 / (2 * s2)
+
+        def dist(a):
+            return 1 - (2 * (1 + rho) + 2 * a) / (4 * s2 * ((1 + a) ** 2 - rho * rho))
+
+        hi = Decimal(1)
+        while dist(hi) < dd:
+            hi *= 2
+        while dist(hi / 2) >= dd:
+            hi /= 2
+        lo = hi / 2  # dist(lo) < d <= dist(hi)
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if dist(mid) < dd else (lo, mid)
+        a = (lo + hi) / 2
+        return (((1 + a) ** 2 - rho * rho) / (a * a)).ln() / 2
+
+
+@pytest.mark.parametrize("sigma2, d", [
+    (0.51, 1.0 - 1e-12), (0.51, 0.5), (0.5000001, 1e-12), (2.0, 1e-6),
+    (1e3, 0.5), (1e6, 0.999), (1e12, 1e-12), (1e12, 1.0 - 1e-12), (1e12, 1e-300)])
+def test_separation_matches_50_digit_reference(sigma2, d):
+    # the least rate sits at a = b (the grid oracle and the symmetric scan
+    # check that independently); here the float value must match the exact
+    # symmetric boundary rate to within a few ulps, also where a^2 underflows
+    want = _decimal_symmetric_rate(sigma2, d)
+    got = separation_min_sum_rate(sigma2, d)
+    assert abs((Decimal(got) - want) / want) <= Decimal("1e-14")
+
+
 def test_separation_symmetric_restriction_is_upper_bound():
     sigma2, d = 1e4, 0.5
-    opt = separation_min_sum_rate(sigma2, d, starts=10)
+    opt = separation_min_sum_rate(sigma2, d)
     rho, omr = _sep_terms(sigma2)
     # symmetric scan a = b
     best = math.inf

@@ -119,6 +119,19 @@ def test_parse_binary_validation():
         parse_model({"binary_tree": {"root_var": "1", "nodes": []}})
 
 
+@pytest.mark.parametrize("obj", [
+    {"covariance": {"labels": ["a", "b"], "matrix": [["1", "1e400"], ["1e400", "1"]]}},
+    {"tree": {"nodes": [{"id": "r", "parent": None},
+                        {"id": "x", "parent": "r", "alpha": "0.5", "noise_var": "-1e400"}],
+              "root_var": "1", "observations": ["x"]}},
+    {"binary_tree": {"depth": 1, "root_var": "1e400", "nodes": []}},
+])
+def test_number_beyond_float_range_is_bad_number(obj):
+    with pytest.raises(ModelError) as e:
+        parse_model(obj)
+    assert e.value.code == "bad-number"
+
+
 def test_cov_to_obj_accepts_plain_cov():
     t = MarkovTree((TreeNode("r", None), TreeNode("x", "r", 0.5, 0.75)),
                    1.0, frozenset(["x"]))
