@@ -6,10 +6,13 @@ alpha_i in [0, 1]. For a fixed channel the achievable rate vectors form a
 contra-polymatroid {R : sum_{i in A} R_i >= f(A)} whose rank function is
 f(A) = I(x_A; u_A | u_{A^c}); its vertices come from permutation chains, and
 a weighted sum rate is minimized at the vertex of the descending-weight
-permutation. The channel itself is searched by seeded multi-start coordinate
-descent over directions, each scaled onto the distortion boundary by solving
-a secular equation (one eigendecomposition of the whitened leaves, then a
-monotone Newton iteration). Vertices and ranks come from Cholesky pivots of
+permutation. The (R_a, R_b) region slice at supporting weight lam is that
+vertex for weight lam on a, 1 - lam on b and 0 elsewhere: the chain
+[a, b, rest] when lam >= 1/2, else [b, a, rest]. So ``min_weighted_sum`` and
+``region_slice`` run one search. The channel is searched by seeded multi-start
+coordinate descent over directions, each scaled onto the distortion boundary
+by solving a secular equation (one eigendecomposition of the whitened leaves,
+then a monotone Newton iteration). Vertices come from the Cholesky pivots of
 the covariance of u; encoders with alpha = 0, padding included, are left out
 of every factorization, since their contribution is exactly zero.
 
@@ -306,12 +309,9 @@ class ChannelContext:
             rows.append(row)
         return rows
 
-    def _live(self, alpha) -> list:
-        return [i for i in range(self.m) if alpha[i] > 0.0]
-
     def distortion(self, alpha) -> float:
         """MMSE of the root given u: the last Cholesky pivot with the root last."""
-        live = self._live(alpha)
+        live = [i for i in range(self.m) if alpha[i] > 0.0]
         q = [alpha[i] * self.root_leaf[i] for i in live]
         M = self._u(alpha, live)
         for row, qi in zip(M, q):
@@ -372,40 +372,6 @@ class ChannelContext:
             rates[enc - 1] = max(0.5 * math.log(cond[enc - 1] / noise), 0.0)
         return rates
 
-    def rank_function(self, alpha):
-        """f(A) = I(x_A; u_A | u_{A^c}) at one channel, for any 1-based A.
-
-        U is factored once; each subset then takes one Cholesky of its
-        complement: f(A) = (log det U - log det U_{A^c} - sum_A log noise) / 2.
-        """
-        live = self._live(alpha)
-        U = self._u(alpha, live)
-        piv = _pivots([row[:] for row in U])
-        if piv is None:
-            return lambda A: math.inf if len(A) else 0.0
-        ld_full = sum(map(math.log, piv))
-        log_noise = {}
-        for i in live:
-            noise = (1.0 - alpha[i] * alpha[i]) * self.leaf_var[i]
-            log_noise[i + 1] = math.log(noise) if noise > 0.0 else None
-
-        def f(A) -> float:
-            acc = ld_full
-            for i in A:
-                if i in log_noise:
-                    if log_noise[i] is None:
-                        return math.inf
-                    acc -= log_noise[i]
-            keep = [k for k, i in enumerate(live) if i + 1 not in A]
-            if len(keep) == len(live):
-                return 0.0
-            sub = _pivots([[U[r][c] for c in keep] for r in keep])
-            if sub is None:
-                return math.inf
-            return max(0.0, 0.5 * (acc - sum(map(math.log, sub))))
-
-        return f
-
     def repair(self, direction, d):
         """Scale a direction onto the distortion-d boundary; None if it can't reach.
 
@@ -415,15 +381,16 @@ class ChannelContext:
         distortion is root_var - h(s), h(s) = sum_k c_k^2 / (lam_k + s): a
         secular equation. h is a Stieltjes function, so 1/h is concave and
         Newton on 1/h from s = 1 (t = 1) rises monotonically to the root;
-        every iterate keeps the distortion at or below d.
+        every iterate keeps the distortion at or below d. NaN coordinates
+        count as zero; an infinite one cannot be scaled (None).
         """
-        mx = max((direction[i] for i in self.real), default=0.0)
-        if mx <= 1e-12:
+        live = [i for i in self.real if direction[i] > 0.0]  # NaN compares false
+        mx = max((direction[i] for i in live), default=0.0)
+        if not 1e-12 < mx < math.inf:
             return None
         g = self.root_var - d
         if g <= 0.0:
             return [0.0] * self.m  # the silent channel already meets d
-        live = [i for i in self.real if direction[i] > 0.0]
         u = [direction[i] / mx for i in live]
         R = self._corr_off
         lam, Q = np.linalg.eigh(
@@ -456,6 +423,60 @@ class InnerSolution(NamedTuple):
     perm: tuple[int, ...]
 
 
+def _check_weights(weights, m: int) -> list[float]:
+    """The weights as floats: m finite, nonnegative entries."""
+    w = [float(v) for v in weights]
+    if len(w) != m:
+        raise ModelError(f"expected {m} weights", code="bad-weights")
+    if not all(map(math.isfinite, w)):
+        raise ModelError("weights must be finite numbers", code="bad-weights")
+    if any(v < 0 for v in w):
+        raise DomainError("weights must be nonnegative", code="bad-weights")
+    return w
+
+
+def _check_distortion(d) -> None:
+    """Refuse a distortion that is not a finite positive number."""
+    if not math.isfinite(d):
+        raise ModelError(f"distortion must be a finite number, not {d!r}", code="bad-number")
+    if d <= 0:
+        raise DomainError("distortion must be positive", code="infeasible-distortion")
+
+
+def _silent_meets(ctx: ChannelContext, d) -> bool:
+    """True when the silent channel (alpha = 0) meets d; raises when no channel can."""
+    _check_distortion(d)
+    if ctx.root_var == 0.0 or d >= ctx.root_var:
+        return True
+    if d <= ctx.d_floor * (1 + 1e-12):
+        raise DomainError(
+            f"distortion {d} is at or below the all-observations MMSE "
+            f"{ctx.d_floor:.6e}",
+            code="infeasible-distortion",
+        )
+    return False
+
+
+def _chain_search(ctx: ChannelContext, d, perm, weights, **search):
+    """Best channel on the distortion-d boundary for the chain vertex of ``perm``.
+
+    Minimizes ``chain_value`` over directions scaled onto the boundary by
+    ``repair``, with ``multi_start`` and its keyword budget ``search``.
+    Returns (alpha, value), or None when no start reached a finite value.
+    """
+
+    def objective(x):
+        rep = ctx.repair(x, d)
+        if rep is None:
+            return math.inf
+        return ctx.chain_value(rep, perm, weights)
+
+    best_x, best_f = multi_start(objective, ctx.m, ctx.real, **search)
+    if not math.isfinite(best_f):
+        return None
+    return ctx.repair(best_x, d), best_f
+
+
 def min_weighted_sum(
     tree: BinaryTreeSource,
     weights,
@@ -478,52 +499,26 @@ def min_weighted_sum(
     """
     ctx = _ctx if _ctx is not None else ChannelContext(tree)
     m = ctx.m
-    w = [float(v) for v in weights]
-    if len(w) != m:
-        raise ModelError(f"expected {m} weights", code="bad-weights")
+    w = _check_weights(weights, m)
     perm = weight_order(w)
-    if d <= 0:
-        raise DomainError("distortion must be positive", code="infeasible-distortion")
-    zeros = InnerSolution(0.0, np.zeros(m), np.zeros(m), ctx.root_var, tuple(perm))
-    if ctx.root_var == 0.0 or d >= ctx.root_var:
-        return zeros
-    if d <= ctx.d_floor * (1 + 1e-12):
-        raise DomainError(
-            f"distortion {d} is at or below the all-observations MMSE "
-            f"{ctx.d_floor:.6e}",
-            code="infeasible-distortion",
-        )
-
-    def objective(x):
-        rep = ctx.repair(x, d)
-        if rep is None:
-            return math.inf
-        return ctx.chain_value(rep, perm, w)
-
+    if _silent_meets(ctx, d):
+        return InnerSolution(0.0, np.zeros(m), np.zeros(m), ctx.root_var, tuple(perm))
     extra = []
     if warm is not None:
         warm = list(map(float, warm))
         if len(warm) == m and max(warm) > 0:
             extra.append(warm)
-    best_x, best_f = multi_start(
-        objective,
-        m,
-        ctx.real,
-        starts=starts,
-        seed=seed,
-        sweeps=sweeps,
-        tol=tol,
-        extra_starts=extra,
+    found = _chain_search(
+        ctx, d, perm, w, starts=starts, seed=seed, sweeps=sweeps, tol=tol, extra_starts=extra
     )
-    alpha = ctx.repair(best_x, d)
-    if alpha is None or not math.isfinite(best_f):
+    if found is None:
         raise DomainError(
             "no feasible channel found for the requested distortion",
             code="infeasible-distortion",
         )
+    alpha, value = found
     rates = ctx.chain_rates(alpha, perm)
-    achieved = ctx.distortion(alpha)
-    return InnerSolution(best_f, np.asarray(alpha), rates, achieved, tuple(perm))
+    return InnerSolution(value, np.asarray(alpha), rates, ctx.distortion(alpha), tuple(perm))
 
 
 def region_slice(
@@ -537,63 +532,46 @@ def region_slice(
 ) -> list[tuple[float, float]]:
     """Boundary polyline of the (R_a, R_b) slice at distortion d.
 
-    The other encoders' rates are unconstrained, so at one channel the slice
-    is {R_a >= f{a}, R_b >= f{b}, R_a + R_b >= f{a,b}} for the rank function
-    f, with the two corners (f{a}, max(f{b}, f{a,b} - f{a})) and
-    (max(f{a}, f{a,b} - f{b}), f{b}). Sweeps supporting weights over the two
-    coordinates, minimizing over channels at each, and keeps the Pareto
-    corners; points are achievable by construction. With a single encoder
-    the slice degenerates to one threshold point.
+    The other encoders' rates are unconstrained, so the slice point at
+    supporting weight lam minimizes lam R_a + (1 - lam) R_b over the region:
+    it is the chain vertex of the weight vector with lam on a, 1 - lam on b
+    and 0 elsewhere, i.e. of the chain [a, b, rest] when lam >= 1/2 and
+    [b, a, rest] otherwise, read at a and b. Sweeps lam over [0, 1], runs the
+    chain-vertex search of ``min_weighted_sum`` at each (same distortion
+    guards, the lighter SLICE_* budget), and keeps the Pareto points; points
+    are achievable by construction. With a single encoder the slice
+    degenerates to one threshold point.
     """
     ctx = ChannelContext(tree)
     m = ctx.m
-    if m == 1:
-        if d <= 0:
-            raise DomainError("distortion must be positive", code="infeasible-distortion")
-        if d >= ctx.root_var:
-            return [(0.0, 0.0)]
-        return [(0.5 * math.log(ctx.root_var / d), 0.0)]
     a, b = pair
-    if not (1 <= a <= m and 1 <= b <= m) or a == b:
-        raise ModelError("pair must be two distinct encoder positions", code="bad-pair")
-    if (a - 1) in ctx.padding or (b - 1) in ctx.padding:
-        raise ModelError("pair encoders must not be padding", code="bad-pair")
+    if m > 1:
+        if not (1 <= a <= m and 1 <= b <= m) or a == b:
+            raise ModelError("pair must be two distinct encoder positions", code="bad-pair")
+        if (a - 1) in ctx.padding or (b - 1) in ctx.padding:
+            raise ModelError("pair encoders must not be padding", code="bad-pair")
+    if _silent_meets(ctx, d):
+        return [(0.0, 0.0)]
+    if m == 1:
+        return [(0.5 * math.log(ctx.root_var / d), 0.0)]
 
-    def corners(alpha):
-        rank = ctx.rank_function(alpha)
-        ca, cb, cab = rank({a}), rank({b}), rank({a, b})
-        if math.isinf(ca) or math.isinf(cb) or math.isinf(cab):
-            return None
-        return (ca, max(cb, cab - ca)), (max(ca, cab - cb), cb)
-
+    rest = [i for i in range(1, m + 1) if i not in (a, b)]
     out = []
     lambdas = [j / (points - 1) for j in range(points)] if points > 1 else [0.5]
     for lam in lambdas:
-        def objective(x):
-            rep = ctx.repair(x, d)
-            if rep is None:
-                return math.inf
-            cs = corners(rep)
-            if cs is None:
-                return math.inf
-            return min(lam * ra + (1 - lam) * rb for ra, rb in cs)
-
-        best_x, best_f = multi_start(
-            objective,
-            m,
-            ctx.real,
-            starts=starts,
-            seed=seed,
-            sweeps=SLICE_SWEEPS,
-            golden_iters=SLICE_GOLDEN_ITERS,
-            tol=SLICE_TOL,
+        perm = [a, b] + rest if lam >= 0.5 else [b, a] + rest
+        w = [0.0] * m
+        w[a - 1], w[b - 1] = lam, 1.0 - lam
+        found = _chain_search(
+            ctx, d, perm, w, starts=starts, seed=seed,
+            sweeps=SLICE_SWEEPS, golden_iters=SLICE_GOLDEN_ITERS, tol=SLICE_TOL,
         )
-        if not math.isfinite(best_f):
+        if found is None:
             continue
-        rep = ctx.repair(best_x, d)
-        cs = corners(rep)
-        pt = min(cs, key=lambda p: lam * p[0] + (1 - lam) * p[1])
-        out.append((float(pt[0]), float(pt[1])))
+        rates = ctx.chain_rates(found[0], perm)
+        ra, rb = float(rates[a - 1]), float(rates[b - 1])
+        if math.isfinite(ra) and math.isfinite(rb):
+            out.append((ra, rb))
 
     # Pareto-filter and order by R_a
     out.sort()

@@ -40,7 +40,14 @@ from scipy.optimize import brentq
 from ._search import multi_start
 from .errors import DomainError, ModelError
 from .gauss import gaussian_cmi
-from .inner import ChannelContext, build_joint, min_weighted_sum, weight_order
+from .inner import (
+    ChannelContext,
+    _check_distortion,
+    _check_weights,
+    build_joint,
+    min_weighted_sum,
+    weight_order,
+)
 from .trees import BinaryTreeSource
 
 __all__ = [
@@ -212,8 +219,7 @@ def _check_subset(tree: BinaryTreeSource, A: Iterable[int]) -> frozenset:
 
 def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) -> bool:
     """Membership of r in the feasible noise-quantization set at distortion d."""
-    if d <= 0:
-        raise DomainError("distortion must be positive", code="infeasible-distortion")
+    _check_distortion(d)
     rates = _check_rates(tree, r)
     if any(v < -tol for v in rates[1:]):
         return False
@@ -284,15 +290,6 @@ def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
     return out
 
 
-def _check_weights(weights, m: int) -> list[float]:
-    w = [float(v) for v in weights]
-    if len(w) != m:
-        raise ModelError(f"expected {m} weights", code="bad-weights")
-    if any(v < 0 for v in w):
-        raise DomainError("weights must be nonnegative", code="bad-weights")
-    return w
-
-
 class OuterSolution(NamedTuple):
     value: float
     rates: dict
@@ -338,8 +335,7 @@ def rd_out_min_weighted(
     ev = _ev if _ev is not None else _OuterEval(tree)
     m = ev.m
     w = _check_weights(weights, m)
-    if d <= 0:
-        raise DomainError("distortion must be positive", code="infeasible-distortion")
+    _check_distortion(d)
     s2 = tree.root_var
     zero = OuterSolution(0.0, {n: 0.0 for n in tree.nodes()}, np.zeros(m))
     if s2 == 0.0 or d >= s2:
@@ -415,8 +411,7 @@ def rd_out_min_weighted_free(
     ev = _OuterEval(tree)
     m = ev.m
     w = _check_weights(weights, m)
-    if d <= 0:
-        raise DomainError("distortion must be positive", code="infeasible-distortion")
+    _check_distortion(d)
     s2 = tree.root_var
     if s2 == 0.0 or d >= s2:
         return 0.0

@@ -161,6 +161,24 @@ def test_inner_infeasible_distortion_exit_code():
     assert json.loads(r.stderr)["code"] == "infeasible-distortion"
 
 
+@pytest.mark.parametrize("cmd", ["inner", "outer", "region-slice"])
+def test_non_finite_distortion_is_input_error(cmd):
+    pair = ["--pair", "x1,x2"] if cmd == "region-slice" else []
+    for d in ("nan", "inf"):
+        r = run_cli(cmd, "--tree", fixture_path("figure_tree"), "-d", d, *pair)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["code"] == "bad-number"
+
+
+@pytest.mark.parametrize("cmd", ["inner", "outer"])
+def test_non_finite_weights_are_input_errors(cmd):
+    r = run_cli(cmd, "--tree", fixture_path("figure_tree"), "-d", "0.6",
+                "--weights", "nan,1,1,1")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "bad-weights"
+
+
 def test_outer_matches_inner_on_fixture():
     ri = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.6",
                  "--starts", "6")
@@ -233,6 +251,16 @@ def test_region_slice_labels_resolve_through_leaf_map(tmp_path):
                   "-d", "0.5", "--pair", "x1,zz")
     assert bad.returncode == 2
     assert json.loads(bad.stderr)["code"] == "bad-pair"
+
+
+def test_region_slice_refuses_unreachable_distortion():
+    # the figure tree's all-observations MMSE is 0.334
+    for d in ("0.2", "0"):
+        r = run_cli("region-slice", "--tree", fixture_path("figure_tree"), "-d", d,
+                    "--pair", "x1,x2", "--points", "3", "--starts", "1")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["code"] == "infeasible-distortion"
 
 
 def test_region_slice_rejects_unused_solver_flags():

@@ -72,6 +72,15 @@ def test_distortion_equals_root_mmse(small_tree):
     assert abs(distortion(joint) - want) < 1e-14
 
 
+def _assert_chains_give_ranks(ctx, joint, a):
+    """f{1}, f{2} and f{1,2} of a two-encoder channel, read off its two chain vertices."""
+    f = {A: rank_f(joint, A) for A in ((1,), (2,), (1, 2))}
+    r12, r21 = ctx.chain_rates(a, [1, 2]), ctx.chain_rates(a, [2, 1])
+    for got, want in ((r12[0], f[(1,)]), (r21[1], f[(2,)]),
+                      (sum(r12), f[(1, 2)]), (sum(r21), f[(1, 2)])):
+        assert abs(got - want) < 1e-10
+
+
 def test_channel_context_agrees_with_oracle(small_tree):
     ctx = ChannelContext(small_tree)
     rng = np.random.default_rng(2)
@@ -79,8 +88,37 @@ def test_channel_context_agrees_with_oracle(small_tree):
         a = rng.uniform(0.05, 0.95, 2)
         joint = build_joint(small_tree, a)
         assert abs(ctx.distortion(a) - distortion(joint)) < 1e-11
-        for A in ([1], [2], [1, 2]):
-            assert abs(ctx.rank_function(a)(A) - rank_f(joint, A)) < 1e-10
+        _assert_chains_give_ranks(ctx, joint, a)
+
+
+def _slice_corner_cases():
+    """(tree, pair, channel): random depth 2-4 trees, then the padded figure tree."""
+    rng = np.random.default_rng(11)
+    for trial in range(9):
+        t = random_binary_tree(2 + trial % 3, 600 + trial)
+        pair = tuple(int(i) + 1 for i in rng.choice(t.leaf_count, 2, replace=False))
+        yield t, pair, rng.uniform(0.05, 0.95, t.leaf_count)
+    # 16 leaves after binarize, 12 of them padding; leaves 1 and 5 are x1, x2
+    t = binarize(reroot(load_model(fixture_path("figure_tree")), "b"))[0]
+    a = [0.0 if i in t.padding else float(rng.uniform(0.05, 0.95))
+         for i in range(1, t.leaf_count + 1)]
+    yield t, (1, 5), a
+
+
+def test_slice_corners_are_chain_vertices():
+    # the two corners of the (R_a, R_b) slice at one channel,
+    # (f{a}, f{a,b} - f{a}) and (f{a,b} - f{b}, f{b}), are the chain vertices
+    # of [a, b, rest] and [b, a, rest] read at a and b, in any order of rest
+    rng = np.random.default_rng(12)
+    for tree, (a, b), alpha in _slice_corner_cases():
+        joint = build_joint(tree, alpha)
+        fa, fb, fab = (rank_f(joint, A) for A in ([a], [b], [a, b]))
+        rest = [int(i) for i in rng.permutation(tree.leaf_count) + 1 if i not in (a, b)]
+        ctx = ChannelContext(tree)
+        r = ctx.chain_rates(alpha, [a, b] + rest)
+        assert abs(r[a - 1] - fa) < 1e-10 and abs(r[b - 1] - (fab - fa)) < 1e-10
+        r = ctx.chain_rates(alpha, [b, a] + rest)
+        assert abs(r[a - 1] - (fab - fb)) < 1e-10 and abs(r[b - 1] - fb) < 1e-10
 
 
 def _oracle_chain_value(tree, alpha, weights):
@@ -152,7 +190,7 @@ def test_kernels_on_degenerate_inputs():
     # at alpha = (1, 1) the channel is noiseless: U is singular
     assert ctx.distortion([1.0, 1.0]) < 1e-12
     assert ctx.chain_value([1.0, 1.0], [1, 2], [1.0, 1.0]) == math.inf
-    assert ctx.rank_function([1.0, 1.0])([1]) == math.inf
+    assert ctx.chain_rates([1.0, 1.0], [1, 2])[0] == math.inf
 
     # an alpha = 1 leaf with a noisy partner: U is positive definite, but the
     # leaf itself is sent without noise
@@ -162,10 +200,11 @@ def test_kernels_on_degenerate_inputs():
     assert abs(ctx.distortion(a) - distortion(build_joint(t, a))) < 1e-12
     assert ctx.chain_value(a, [1, 2], [1.0, 0.5]) == math.inf
     # with weight 0 the noiseless leaf is last in the chain: only f({2}) is paid
-    f2 = rank_f(build_joint(t, a), [2])
+    joint = build_joint(t, a)
+    f2 = rank_f(joint, [2])
     assert abs(ctx.chain_value(a, [2, 1], [0.0, 1.0]) - f2) < 1e-10
-    assert abs(ctx.rank_function(a)([2]) - f2) < 1e-10
-    assert ctx.rank_function(a)([1]) == math.inf
+    assert abs(ctx.chain_rates(a, [2, 1])[1] - f2) < 1e-10
+    assert rank_f(joint, [1]) == math.inf  # f({1}), the first step of [1, 2]
     assert list(ctx.chain_rates(a, [1, 2])) == [math.inf, math.inf]
 
 
@@ -189,9 +228,7 @@ def test_kernels_finite_when_off_diagonal_exceeds_diagonal():
     want = vertex_rates(tabulate_rank(t, a), perm)
     assert abs(ctx.chain_value(a, perm, w) - float(np.dot(w, want))) < 1e-10
     assert np.max(np.abs(ctx.chain_rates(a, perm) - want)) < 1e-10
-    joint = build_joint(t, a)
-    for A in ([1], [2], [1, 2]):
-        assert abs(ctx.rank_function(a)(A) - rank_f(joint, A)) < 1e-10
+    _assert_chains_give_ranks(ctx, build_joint(t, a), a)
 
 
 def test_min_weighted_sum_meets_outer_when_off_diagonal_exceeds_diagonal():
@@ -298,6 +335,14 @@ def test_repair_returns_none_when_direction_cannot_reach(small_tree):
     assert ctx.repair([0.0, 1.0], 0.3) is None
 
 
+def test_repair_on_non_finite_coordinates(small_tree):
+    ctx = ChannelContext(small_tree)
+    for direction in ([math.nan, math.nan], [math.nan, 0.0], [math.inf, 1.0]):
+        assert ctx.repair(direction, 0.4) is None
+    # a NaN coordinate counts as zero
+    assert ctx.repair([1.0, math.nan], 0.4) == ctx.repair([1.0, 0.0], 0.4)
+
+
 def test_min_weighted_sum_single_encoder_threshold():
     t = BinaryTreeSource(2, 1.0, {(2, 1): 0.9, (2, 2): 1.0},
                          {(2, 1): 0.19, (2, 2): 0.0}, {2})
@@ -319,6 +364,20 @@ def test_min_weighted_sum_guards(small_tree):
     assert sol.value == 0.0
     with pytest.raises(ModelError):
         min_weighted_sum(small_tree, [1.0], 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inner_refuses_non_finite_numbers(small_tree, bad):
+    for call in (
+        lambda: min_weighted_sum(small_tree, [1.0, 1.0], bad),
+        lambda: region_slice(small_tree, bad, (1, 2), points=3, starts=1),
+    ):
+        with pytest.raises(ModelError) as err:
+            call()
+        assert err.value.code == "bad-number"
+    with pytest.raises(ModelError) as err:
+        min_weighted_sum(small_tree, [bad, 1.0], 0.5)
+    assert err.value.code == "bad-weights"
 
 
 def test_min_weighted_sum_monotone_in_distortion(small_tree):
@@ -365,6 +424,16 @@ def test_region_slice_is_pareto_and_anchored(case, small_tree):
     w = [1.0 if i in pair else 0.0 for i in range(1, tree.leaf_count + 1)]
     best_sum = min_weighted_sum(tree, w, d).value
     assert min(ra + rb for ra, rb in pts) >= best_sum - 1e-6
+
+
+def test_region_slice_shares_the_distortion_guards():
+    tree = binarize(reroot(load_model(fixture_path("figure_tree")), "b"))[0]
+    floor = ChannelContext(tree).d_floor
+    for d in (0.0, 0.5 * floor, floor):
+        with pytest.raises(DomainError) as err:
+            region_slice(tree, d, (1, 5), points=3, starts=1)
+        assert err.value.code == "infeasible-distortion"
+    assert region_slice(tree, tree.root_var, (1, 5), points=3, starts=1) == [(0.0, 0.0)]
 
 
 def test_region_slice_single_encoder_degenerates():

@@ -337,6 +337,23 @@ def test_outer_guards(small_tree):
     assert rd_out_min_weighted(small_tree, [1.0, 1.0], 5.0).value == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_outer_refuses_non_finite_numbers(small_tree, bad):
+    r = {n: 0.0 for n in small_tree.nodes()}
+    for call in (
+        lambda: rd_out_min_weighted(small_tree, [1.0, 1.0], bad),
+        lambda: rd_out_min_weighted_free(small_tree, [1.0, 1.0], bad),
+        lambda: frd_contains(small_tree, r, bad),
+    ):
+        with pytest.raises(ModelError) as err:
+            call()
+        assert err.value.code == "bad-number"
+    for solve in (rd_out_min_weighted, rd_out_min_weighted_free):
+        with pytest.raises(ModelError) as err:
+            solve(small_tree, [bad, 1.0], 0.5)
+        assert err.value.code == "bad-weights"
+
+
 def test_outer_free_parameterization_agrees(small_tree):
     # both optimizers approximate the same minimum from above, so the audit
     # checks a two-sided band at combined search tolerance
