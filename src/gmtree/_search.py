@@ -4,11 +4,18 @@ Both bound optimizers search a box [0,1]^m of direction coordinates with a
 scalar feasibility repair folded into the objective, so a tiny derivative-free
 loop is all that is needed. Objectives may return math.inf for infeasible
 points; determinism is guaranteed by the explicit seed.
+
+An objective must be a pure function of x: ``multi_start`` evaluates each
+distinct point once per call and answers repeats (a line search re-run after
+no other coordinate moved, or starts that meet on the same golden-section
+grid) from a memo that is dropped when the call returns.
 """
 
 import math
 
 import numpy as np
+
+from .errors import ModelError
 
 __all__ = ["golden_min", "coordinate_descent", "multi_start"]
 
@@ -87,7 +94,27 @@ def multi_start(
     points) are tried next; the remaining ``starts - 1`` come from the seeded
     generator. Coordinates not in ``coords`` stay at their start value (zero
     for random starts).
+
+    ``fn`` must be a pure function of x. Every start shares one memo keyed by
+    ``tuple(x)``, so each distinct point is evaluated once per call and a
+    repeat gets the very float the evaluation returned: the search path and
+    the result are those of the memo-free loop. Nothing outlives the call.
+    ``starts`` and ``sweeps`` below 1 are refused (``bad-budget``).
     """
+    if starts < 1 or sweeps < 1:
+        raise ModelError(
+            f"search budget must be positive, not starts={starts!r}, sweeps={sweeps!r}",
+            code="bad-budget",
+        )
+    seen = {}
+
+    def once(x):
+        key = tuple(x)
+        v = seen.get(key)
+        if v is None:
+            v = seen[key] = fn(x)
+        return v
+
     rng = np.random.default_rng(seed)
     pool = []
     ones = [0.0] * dim
@@ -96,7 +123,7 @@ def multi_start(
     pool.append(ones)
     for w in extra_starts:
         pool.append([float(v) for v in w])
-    for _ in range(max(0, starts - 1)):
+    for _ in range(starts - 1):
         x = [0.0] * dim
         draw = rng.uniform(0.05, 1.0, size=len(coords))
         for c, v in zip(coords, draw):
@@ -106,7 +133,7 @@ def multi_start(
     best_x, best_f = None, math.inf
     for x0 in pool:
         x, fx = coordinate_descent(
-            fn, x0, coords, sweeps=sweeps, golden_iters=golden_iters, tol=tol
+            once, x0, coords, sweeps=sweeps, golden_iters=golden_iters, tol=tol
         )
         if fx < best_f:
             best_x, best_f = x, fx

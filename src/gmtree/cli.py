@@ -28,13 +28,25 @@ log = logging.getLogger("gmtree")
 LN2 = math.log(2.0)
 
 
+def _positive_int(text) -> int:
+    """argparse type of the search budgets: --starts, --iters, --points and
+    --weights-grid take an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _env(name: str, cast, fallback):
     raw = os.environ.get("GMTREE_" + name)
     if raw is None:
         return fallback
     try:
         return cast(raw)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ModelError(f"bad GMTREE_{name} value {raw!r}", code="bad-env") from None
 
 
@@ -256,7 +268,7 @@ def cmd_verify_matchup(args):
     m = tree.leaf_count
     rng = np.random.default_rng(args.seed)
     vectors = [[1.0] * m]
-    for _ in range(max(args.weights_grid - 1, 0)):
+    for _ in range(args.weights_grid - 1):
         vectors.append([float(v) for v in rng.uniform(0.1, 1.0, m)])
     report = outer.matchup_verify(
         tree, args.distortion, vectors,
@@ -391,9 +403,10 @@ def _add_solver_opts(p, starts_default=16, tol=True, iters=True):
     """--starts and --seed, plus --tol and --iters where the solver reads them."""
     if tol:
         p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-8))
-    p.add_argument("--starts", type=int, default=_env("STARTS", int, starts_default))
+    p.add_argument("--starts", type=_positive_int,
+                   default=_env("STARTS", _positive_int, starts_default))
     if iters:
-        p.add_argument("--iters", type=int, default=_env("ITERS", int, 60))
+        p.add_argument("--iters", type=_positive_int, default=_env("ITERS", _positive_int, 60))
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
 
 
@@ -439,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-matchup", help="inner vs outer gap report over a weight grid")
     p.add_argument("--tree", required=True)
     p.add_argument("-d", "--distortion", type=float, required=True)
-    p.add_argument("--weights-grid", type=int, default=8)
+    p.add_argument("--weights-grid", type=_positive_int, default=8)
     p.add_argument("--gap-tol", type=float, default=5e-3)
     _add_solver_opts(p, tol=False)
     p.set_defaults(func=cmd_verify_matchup)
@@ -448,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("-d", "--distortion", type=float, required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--points", type=int, default=17)
+    p.add_argument("--points", type=_positive_int, default=17)
     p.add_argument("--out")
     _add_solver_opts(p, starts_default=8, tol=False, iters=False)
     p.set_defaults(func=cmd_region_slice)

@@ -540,8 +540,11 @@ def region_slice(
     chain-vertex search of ``min_weighted_sum`` at each (same distortion
     guards, the lighter SLICE_* budget), and keeps the Pareto points; points
     are achievable by construction. With a single encoder the slice
-    degenerates to one threshold point.
+    degenerates to one threshold point. ``points`` below 1 is refused
+    (``bad-budget``).
     """
+    if points < 1:
+        raise ModelError(f"points must be positive, not {points!r}", code="bad-budget")
     ctx = ChannelContext(tree)
     m = ctx.m
     a, b = pair

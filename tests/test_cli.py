@@ -320,3 +320,26 @@ def test_seed_determinism_and_env_override():
     bad = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",
                   env_extra={"GMTREE_SEED": "not-an-int"})
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("inner", "--iters"), ("inner", "--starts"), ("outer", "--iters"),
+    ("verify-matchup", "--weights-grid"), ("region-slice", "--points"),
+])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_non_positive_search_budget_is_input_error(cmd, flag, value):
+    args = [cmd, "--tree", fixture_path("figure_tree"), "-d", "0.6", flag, value]
+    if cmd == "region-slice":
+        args += ["--pair", "x1,x2"]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "positive" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("name", ["ITERS", "STARTS"])
+def test_non_positive_budget_default_is_input_error(name):
+    r = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.6",
+                env_extra={"GMTREE_" + name: "0"})
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "bad-env"
