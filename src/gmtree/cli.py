@@ -6,7 +6,9 @@ stdout). Exit status: 0 success, 1 domain error (infeasible distortion,
 non-embeddable input, ...), 2 malformed input or usage. Error payloads go to
 stderr as JSON with a machine-readable "code". Numeric knobs fall back to
 GMTREE_TOL / GMTREE_STARTS / GMTREE_ITERS / GMTREE_SEED before their
-built-in defaults; rates are reported in nats and bits.
+built-in defaults; a variable is read only by a subcommand that has the
+option, so a bad value (exit 2, "bad-env") breaks no other subcommand.
+Rates are reported in nats and bits.
 """
 
 import argparse
@@ -40,14 +42,36 @@ def _positive_int(text) -> int:
     return value
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get("GMTREE_" + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ModelError(f"bad GMTREE_{name} value {raw!r}", code="bad-env") from None
+class _EnvDefault:
+    """The default of an option that GMTREE_<name> may override.
+
+    The variable is read once parsing has picked a subcommand, and only if
+    that subcommand has the option and the command line left it out, so a
+    bad value breaks no other subcommand.
+    """
+
+    def __init__(self, name: str, cast, fallback):
+        self.name, self.cast, self.fallback = name, cast, fallback
+
+    def resolve(self):
+        raw = os.environ.get("GMTREE_" + self.name)
+        if raw is None:
+            return self.fallback
+        try:
+            return self.cast(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ModelError(f"bad GMTREE_{self.name} value {raw!r}", code="bad-env") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Resolves every ``_EnvDefault`` left in the parsed namespace."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        for key, value in vars(ns).items():
+            if isinstance(value, _EnvDefault):
+                setattr(ns, key, value.resolve())
+        return ns, rest
 
 
 def _bits(x: float) -> float:
@@ -402,21 +426,22 @@ def cmd_worst_case(args):
 def _add_solver_opts(p, starts_default=16, tol=True, iters=True):
     """--starts and --seed, plus --tol and --iters where the solver reads them."""
     if tol:
-        p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-8))
+        p.add_argument("--tol", type=float, default=_EnvDefault("TOL", float, 1e-8))
     p.add_argument("--starts", type=_positive_int,
-                   default=_env("STARTS", _positive_int, starts_default))
+                   default=_EnvDefault("STARTS", _positive_int, starts_default))
     if iters:
-        p.add_argument("--iters", type=_positive_int, default=_env("ITERS", _positive_int, 60))
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+        p.add_argument("--iters", type=_positive_int,
+                       default=_EnvDefault("ITERS", _positive_int, 60))
+    p.add_argument("--seed", type=int, default=_EnvDefault("SEED", int, 0))
 
 
 def _add_mc_opts(p, samples_default):
     p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    p.add_argument("--seed", type=int, default=_EnvDefault("SEED", int, 0))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmtree",
         description="Rate-distortion tools for Gauss-Markov tree sources.",
     )

@@ -11,10 +11,12 @@ vertex for weight lam on a, 1 - lam on b and 0 elsewhere: the chain
 [a, b, rest] when lam >= 1/2, else [b, a, rest]. So ``min_weighted_sum`` and
 ``region_slice`` run one search. The channel is searched by seeded multi-start
 coordinate descent over directions, each scaled onto the distortion boundary
-by solving a secular equation (one eigendecomposition of the whitened leaves,
-then a monotone Newton iteration). Vertices come from the Cholesky pivots of
-the covariance of u; encoders with alpha = 0, padding included, are left out
-of every factorization, since their contribution is exactly zero.
+by solving a secular equation (one eigendecomposition of the whitened leaves
+by LAPACK ``dsyevd``, then a monotone Newton iteration); a region slice
+repairs each direction once for all its supporting weights. Vertices come
+from the Cholesky pivots of the covariance of u; encoders with alpha = 0,
+padding included, are left out of every factorization, since their
+contribution is exactly zero.
 
 Leaf/encoder positions are 1-based throughout the public subset API, matching
 the tree node indexing.
@@ -26,6 +28,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from . import gauss
 from ._search import multi_start
@@ -383,6 +386,10 @@ class ChannelContext:
         Newton on 1/h from s = 1 (t = 1) rises monotonically to the root;
         every iterate keeps the distortion at or below d. NaN coordinates
         count as zero; an infinite one cannot be scaled (None).
+
+        The eigendecomposition calls LAPACK ``dsyevd`` on the lower triangle
+        directly, the routine behind ``np.linalg.eigh`` without its wrapper
+        cost, and raises ``np.linalg.LinAlgError`` as eigh does if it fails.
         """
         live = [i for i in self.real if direction[i] > 0.0]  # NaN compares false
         mx = max((direction[i] for i in live), default=0.0)
@@ -393,9 +400,14 @@ class ChannelContext:
             return [0.0] * self.m  # the silent channel already meets d
         u = [direction[i] / mx for i in live]
         R = self._corr_off
-        lam, Q = np.linalg.eigh(
-            [[ui * uj * R[i][j] for j, uj in zip(live, u)] for i, ui in zip(live, u)]
+        lam, Q, info = dsyevd(
+            [[ui * uj * R[i][j] for j, uj in zip(live, u)] for i, ui in zip(live, u)],
+            compute_v=1, lower=1,
         )
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # C order keeps np.dot on the BLAS path it takes for eigh's eigenvectors
+        Q = np.ascontiguousarray(Q)
         c2 = (np.dot([ui * self._rho[i] for i, ui in zip(live, u)], Q) ** 2).tolist()
         lam = lam.tolist()
         h, dh = _secular(lam, c2, 1.0)
@@ -457,16 +469,26 @@ def _silent_meets(ctx: ChannelContext, d) -> bool:
     return False
 
 
-def _chain_search(ctx: ChannelContext, d, perm, weights, **search):
+def _chain_search(ctx: ChannelContext, d, perm, weights, repairs: dict, **search):
     """Best channel on the distortion-d boundary for the chain vertex of ``perm``.
 
     Minimizes ``chain_value`` over directions scaled onto the boundary by
     ``repair``, with ``multi_start`` and its keyword budget ``search``.
+    ``repairs`` maps ``tuple(direction)`` to ``repair(direction, d)`` (None
+    included); a direction found there is not repaired again, and each new
+    one is added. The repair is a pure function of the direction at fixed d,
+    so a caller may share one dict between searches at the same d.
     Returns (alpha, value), or None when no start reached a finite value.
     """
 
+    def repaired(x):
+        key = tuple(x)
+        if key not in repairs:
+            repairs[key] = ctx.repair(x, d)
+        return repairs[key]
+
     def objective(x):
-        rep = ctx.repair(x, d)
+        rep = repaired(x)
         if rep is None:
             return math.inf
         return ctx.chain_value(rep, perm, weights)
@@ -474,7 +496,7 @@ def _chain_search(ctx: ChannelContext, d, perm, weights, **search):
     best_x, best_f = multi_start(objective, ctx.m, ctx.real, **search)
     if not math.isfinite(best_f):
         return None
-    return ctx.repair(best_x, d), best_f
+    return repaired(best_x), best_f
 
 
 def min_weighted_sum(
@@ -509,7 +531,8 @@ def min_weighted_sum(
         if len(warm) == m and max(warm) > 0:
             extra.append(warm)
     found = _chain_search(
-        ctx, d, perm, w, starts=starts, seed=seed, sweeps=sweeps, tol=tol, extra_starts=extra
+        ctx, d, perm, w, {},
+        starts=starts, seed=seed, sweeps=sweeps, tol=tol, extra_starts=extra,
     )
     if found is None:
         raise DomainError(
@@ -539,9 +562,12 @@ def region_slice(
     [b, a, rest] otherwise, read at a and b. Sweeps lam over [0, 1], runs the
     chain-vertex search of ``min_weighted_sum`` at each (same distortion
     guards, the lighter SLICE_* budget), and keeps the Pareto points; points
-    are achievable by construction. With a single encoder the slice
-    degenerates to one threshold point. ``points`` below 1 is refused
-    (``bad-budget``).
+    are achievable by construction. The weights' searches start from one
+    seeded pool and meet on the same golden-section points, so they share
+    one memo of repaired directions: each direction is repaired once per
+    slice. A point is kept only if it lowers R_b by more than SLICE_TOL.
+    With a single encoder the slice degenerates to one threshold point.
+    ``points`` below 1 is refused (``bad-budget``).
     """
     if points < 1:
         raise ModelError(f"points must be positive, not {points!r}", code="bad-budget")
@@ -559,6 +585,7 @@ def region_slice(
         return [(0.5 * math.log(ctx.root_var / d), 0.0)]
 
     rest = [i for i in range(1, m + 1) if i not in (a, b)]
+    repairs = {}  # every weight's search starts from the same seeded pool
     out = []
     lambdas = [j / (points - 1) for j in range(points)] if points > 1 else [0.5]
     for lam in lambdas:
@@ -566,7 +593,7 @@ def region_slice(
         w = [0.0] * m
         w[a - 1], w[b - 1] = lam, 1.0 - lam
         found = _chain_search(
-            ctx, d, perm, w, starts=starts, seed=seed,
+            ctx, d, perm, w, repairs, starts=starts, seed=seed,
             sweeps=SLICE_SWEEPS, golden_iters=SLICE_GOLDEN_ITERS, tol=SLICE_TOL,
         )
         if found is None:
@@ -576,12 +603,13 @@ def region_slice(
         if math.isfinite(ra) and math.isfinite(rb):
             out.append((ra, rb))
 
-    # Pareto-filter and order by R_a
+    # Pareto-filter and order by R_a; a point must lower R_b by more than the
+    # search tolerance, or it is the same boundary point found twice
     out.sort()
     front = []
     best_rb = math.inf
     for ra, rb in out:
-        if rb < best_rb - 1e-12:
+        if rb < best_rb - SLICE_TOL:
             front.append((ra, rb))
             best_rb = rb
     return front

@@ -350,6 +350,7 @@ def rd_out_min_weighted(
         )
     plans = _weighted_plan(ev, w)
     real0 = [i - 1 for i in ev.real]
+    reach = {}  # ev.reach(u) depends only on u's support
 
     def solve_rates(x):
         mx = max(x[i] for i in real0)
@@ -358,7 +359,11 @@ def rd_out_min_weighted(
         u = [0.0] * m
         for i in real0:
             u[i] = x[i] / mx
-        if ev.reach(u) < rho:
+        support = tuple(v > 0.0 for v in u)
+        top = reach.get(support)
+        if top is None:
+            top = reach[support] = ev.reach(u)
+        if top < rho:
             return None
         return ev.pin(u, rho)[1]
 

@@ -343,3 +343,34 @@ def test_non_positive_budget_default_is_input_error(name):
                 env_extra={"GMTREE_" + name: "0"})
     assert r.returncode == 2
     assert json.loads(r.stderr)["code"] == "bad-env"
+
+
+LATTICE_ARGS = ["lattice", "--sigma2", "10", "-n", "8", "-m", "4", "--samples", "1000"]
+SLICE_ARGS = ["region-slice", "--tree", fixture_path("figure_tree"), "-d", "0.5",
+              "--pair", "x1,x2", "--points", "3", "--starts", "1"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (LATTICE_ARGS, {"GMTREE_STARTS": "0", "GMTREE_ITERS": "0", "GMTREE_TOL": "abc"}),
+    (SLICE_ARGS, {"GMTREE_TOL": "abc", "GMTREE_ITERS": "0"}),
+])
+def test_bad_env_default_of_an_absent_option_is_ignored(argv, env):
+    # lattice has no --starts, --iters or --tol; region-slice has no --tol or --iters
+    r = run_cli(*argv, env_extra=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli(*argv).stdout
+
+
+@pytest.mark.parametrize("argv, env, name", [
+    (LATTICE_ARGS, {"GMTREE_STARTS": "0", "GMTREE_SEED": "x"}, "GMTREE_SEED"),
+    ([a for a in SLICE_ARGS if a not in ("--starts", "1")],
+     {"GMTREE_TOL": "abc", "GMTREE_STARTS": "0"}, "GMTREE_STARTS"),
+])
+def test_bad_env_default_of_a_present_option_is_refused(argv, env, name):
+    # the subcommand's own option is refused, and only that one is named
+    r = run_cli(*argv, env_extra=env)
+    assert r.returncode == 2
+    err = json.loads(r.stderr)
+    assert err["code"] == "bad-env"
+    assert name in err["error"] and all(k not in err["error"] for k in env if k != name)
+    assert r.stdout == ""

@@ -31,6 +31,8 @@ from gmtree import (
     vertex_rates,
     weight_order,
 )
+from gmtree import inner as inner_mod
+from gmtree.inner import SLICE_GOLDEN_ITERS, SLICE_SWEEPS, SLICE_TOL, _chain_search
 from conftest import random_binary_tree, small_tree  # noqa: F401
 
 
@@ -343,6 +345,57 @@ def test_repair_on_non_finite_coordinates(small_tree):
     assert ctx.repair([1.0, math.nan], 0.4) == ctx.repair([1.0, 0.0], 0.4)
 
 
+def _eigh_dsyevd(M, compute_v, lower):
+    """A stand-in for LAPACK dsyevd built on np.linalg.eigh (lower triangle)."""
+    assert compute_v == 1 and lower == 1
+    lam, Q = np.linalg.eigh(M)
+    return lam, Q, 0
+
+
+def _repair_cases():
+    """(context, directions, distortions): random depth 2-4 trees, a padded
+    tree and the tree whose two leaves are noiseless copies of the root."""
+    rng = np.random.default_rng(21)
+    out = [random_binary_tree(2 + t % 3, 700 + t) for t in range(9)]
+    out.append(binarize(reroot(load_model(fixture_path("figure_tree")), "b"))[0])
+    out.append(BinaryTreeSource(2, 1.3, {(2, 1): 1.0, (2, 2): 1.0},
+                                {(2, 1): 0.0, (2, 2): 0.0}))
+    for tree in out:
+        ctx = ChannelContext(tree)
+        m = tree.leaf_count
+        dirs = [[1.0] * m]
+        for _ in range(12):
+            x = rng.uniform(0.05, 1.0, m)
+            x[rng.uniform(size=m) < 0.25] = 0.0
+            dirs.append([float(v) for v in x])
+        ds = [ctx.d_floor + f * (ctx.root_var - ctx.d_floor) for f in (0.05, 0.3, 0.7, 0.95)]
+        yield ctx, dirs, ds
+
+
+def test_repair_matches_an_eigh_reference(monkeypatch):
+    # the repair calls LAPACK dsyevd directly; the reference is the same
+    # repair on np.linalg.eigh. A different LAPACK build may move the last
+    # bits, hence a relative tolerance rather than ==
+    checked = 0
+    for ctx, dirs, ds in _repair_cases():
+        got = [ctx.repair(x, d) for x in dirs for d in ds]
+        with monkeypatch.context() as mp:
+            mp.setattr(inner_mod, "dsyevd", _eigh_dsyevd)
+            want = [ctx.repair(x, d) for x in dirs for d in ds]
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert all(gi == pytest.approx(wi, rel=1e-13, abs=0.0) for gi, wi in zip(g, w))
+                checked += 1
+    assert checked > 300
+
+
+def test_repair_raises_when_the_eigensolve_fails(small_tree, monkeypatch):
+    monkeypatch.setattr(inner_mod, "dsyevd", lambda M, compute_v, lower: (None, None, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        ChannelContext(small_tree).repair([1.0, 1.0], 0.4)
+
+
 def test_min_weighted_sum_single_encoder_threshold():
     t = BinaryTreeSource(2, 1.0, {(2, 1): 0.9, (2, 2): 1.0},
                          {(2, 1): 0.19, (2, 2): 0.0}, {2})
@@ -454,6 +507,70 @@ def test_region_slice_single_encoder_degenerates():
     t = BinaryTreeSource(1, 1.0)
     pts = region_slice(t, 0.25, (1, 1))
     assert pts == [(0.5 * math.log(4.0), 0.0)]
+
+
+def test_region_slice_drops_points_within_the_search_tolerance(small_tree):
+    # lam = 1/2 and lam = 1 reach the R_b = 0 end of the flat sum-rate face
+    # 2.2e-8 apart in R_b, below SLICE_TOL: one boundary point found twice
+    pts = region_slice(small_tree, 0.4, (1, 2), points=5, starts=3)
+    assert len(pts) == 3
+    assert all(rb0 - rb1 > SLICE_TOL for (_, rb0), (_, rb1) in zip(pts, pts[1:]))
+
+
+def _slice_without_shared_repairs(tree, d, pair, points, starts, seed):
+    """region_slice's loop with a fresh repair memo for each weight."""
+    ctx = ChannelContext(tree)
+    m = ctx.m
+    a, b = pair
+    rest = [i for i in range(1, m + 1) if i not in (a, b)]
+    out = []
+    for lam in [j / (points - 1) for j in range(points)]:
+        perm = [a, b] + rest if lam >= 0.5 else [b, a] + rest
+        w = [0.0] * m
+        w[a - 1], w[b - 1] = lam, 1.0 - lam
+        found = _chain_search(ctx, d, perm, w, {}, starts=starts, seed=seed,
+                              sweeps=SLICE_SWEEPS, golden_iters=SLICE_GOLDEN_ITERS,
+                              tol=SLICE_TOL)
+        if found is not None:
+            rates = ctx.chain_rates(found[0], perm)
+            if math.isfinite(rates[a - 1]) and math.isfinite(rates[b - 1]):
+                out.append((float(rates[a - 1]), float(rates[b - 1])))
+    out.sort()
+    front, best_rb = [], math.inf
+    for ra, rb in out:
+        if rb < best_rb - SLICE_TOL:
+            front.append((ra, rb))
+            best_rb = rb
+    return front
+
+
+def test_region_slice_repairs_each_direction_once(monkeypatch):
+    # one repair memo serves every supporting weight of a slice: the polyline
+    # is == to the loop that repairs afresh for each weight, and no direction
+    # is repaired twice
+    budgets = [(2, 5, 3), (3, 5, 3), (4, 3, 1)] * 2  # (depth, points, starts)
+    cases = [(random_binary_tree(depth, 800 + t), points, starts)
+             for t, (depth, points, starts) in enumerate(budgets)]
+    fig = binarize(reroot(load_model(fixture_path("figure_tree")), "b"))[0]
+    seen = []
+    plain = ChannelContext.repair
+
+    def counted(self, direction, d):
+        seen.append(tuple(direction))
+        return plain(self, direction, d)
+
+    monkeypatch.setattr(ChannelContext, "repair", counted)
+    for t, (tree, points, starts) in enumerate(cases + [(fig, 3, 1)]):
+        m = tree.leaf_count
+        pair = (1, 5) if tree is fig else (1, m)
+        floor = ChannelContext(tree).d_floor
+        d = floor + (0.2, 0.5, 0.8)[t % 3] * (tree.root_var - floor)
+        seen.clear()
+        want = _slice_without_shared_repairs(tree, d, pair, points, starts, seed=t)
+        fresh = len(seen)
+        seen.clear()
+        assert region_slice(tree, d, pair, points=points, starts=starts, seed=t) == want
+        assert len(seen) == len(set(seen)) < fresh
 
 
 
