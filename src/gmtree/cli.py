@@ -280,6 +280,11 @@ def cmd_outer(args):
         "value_bits": _bits(float(sol.value)),
         "weights": w,
         "rates": _rates_obj(sol.rates),
+        "diagnostics": {
+            "method": sol.method,
+            "iterations": sol.iterations,
+            "converged": sol.converged,
+        },
     }
     if leaf_map:
         payload["leaf_map"] = leaf_map

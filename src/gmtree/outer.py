@@ -11,10 +11,26 @@ children's rates:
 with c = alpha^2 * (own noise variance) / (child noise variance), the root
 using its full variance in place of a noise variance. Telescoping f down to
 the leaves and summing over the ancestors of an encoder subset yields a lower
-bound on that subset's sum rate; minimizing the weighted combination over the
-equality manifold (leaf rates free, internal rates saturated, root pinned)
-gives the reported outer value. ``matchup_verify`` cross-checks it against
-the independently computed inner bound.
+bound on that subset's sum rate. Each such bound is convex in the node rates
+r (it subtracts compositions of the concave, nondecreasing f), and so is the
+feasible set, so the weighted minimum is one convex program in (r, R):
+
+    minimize w.R  subject to  R(A) >= bound(A; r) for every nonempty set A
+    of real leaves, r_root >= rho, r_n <= f(children of n), r, R >= 0,
+
+with padding rates fixed at 0. ``rd_out_min_weighted`` solves it once with
+SLSQP (``_OuterEval.convex``), started cold at r = R = rho, with analytic
+jacobians from one reverse pass over the heap list (``bound_grad``,
+``cap_grad``). The optimum's leaf-rate direction is then put on the equality
+manifold (internal rates saturated, root pinned), and the weighted
+combination of nested-subset bounds there is the reported outer value.
+Trees whose noise variances NOISE_FLOOR_REL lifts from 0, and trees with
+more than CONVEX_MAX_LEAVES real leaves, keep the seeded multi-start search
+over leaf-rate directions (``solve_method``). So does a solve whose pinned
+value lies above the program's by more than CONVEX_SLACK (relative): with a
+zero or near-zero weight the program's optimum can sit off the manifold.
+``matchup_verify`` cross-checks the outer value against the independently
+computed inner bound.
 
 The root pin is Newton's method along a ray t * u of leaf rates: one pass
 carries each node's rate and its derivative in t. Each f is jointly concave
@@ -30,12 +46,13 @@ nats. Inside, rates are lists in the heap layout of ``BinaryTreeSource``
 descending index order, children first.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from ._search import multi_start
 from .errors import DomainError, ModelError
@@ -71,6 +88,24 @@ FREE_SWEEPS = 120
 FREE_GOLDEN_ITERS = 16
 FREE_TOL = 1e-6
 WARM_STARTS = 6  # matchup_verify's starts for every weight vector after the first
+CONVEX_MAX_LEAVES = 8  # real leaves; the program has one constraint per nonempty subset
+CONVEX_ITERS = 100  # SLSQP iterations allowed
+CONVEX_FTOL = 1e-12  # SLSQP's stopping tolerance on the objective
+CONVEX_SLACK = 1e-8  # pinned value above the program's by more than this (relative): search
+
+
+def solve_method(tree: BinaryTreeSource) -> str:
+    """How ``rd_out_min_weighted`` solves on this tree: "convex" or "search".
+
+    The convex program runs unless NOISE_FLOOR_REL lifts a noise variance
+    of the tree from 0 (the lifted coefficients, up to 1e9, make SLSQP's
+    line search fail) or the tree has more than CONVEX_MAX_LEAVES real
+    leaves; those trees keep the multi-start search.
+    """
+    eps = NOISE_FLOOR_REL * tree.root_var
+    if any(v < eps for v in tree.heap_noise[1:]):
+        return "search"
+    return "convex" if tree.leaf_count - len(tree.padding) <= CONVEX_MAX_LEAVES else "search"
 
 
 def _factor(r: float) -> float:
@@ -188,6 +223,105 @@ class _OuterEval:
         v = self.credit(r, inside, mixed)
         return sum(r[n] - v[n] for n in rows)
 
+    def cap_grad(self, n: int, r: list) -> tuple[float, float, float]:
+        """f at node n of its children's rates in r (the arithmetic of
+        ``f``), and its partial derivatives in the two children's rates."""
+        a, b = self.c[2 * n], self.c[2 * n + 1]
+        r1, r2 = r[2 * n], r[2 * n + 1]
+        x = a * _factor(r1) + b * _factor(r2)
+        return 0.5 * math.log1p(x), a * math.exp(-2.0 * r1) / (1.0 + x), b * math.exp(-2.0 * r2) / (1.0 + x)
+
+    def bound_grad(self, plan, r: list) -> tuple[float, list]:
+        """``bound(plan, r)`` and its gradient in r by heap index.
+
+        Every row n adds r_n and subtracts its credit v_n. A mixed row's
+        credit is f of its children's credits; the others are constants (0
+        inside A) or their own rates (outside A). One reverse pass over the
+        mixed nodes, parents first, carries each credit's weight in the sum
+        down to the children, and the weight that reaches a node outside A
+        is its rate's share.
+        """
+        rows, inside, mixed = plan
+        v = self.credit(r, inside, mixed)
+        g = [0.0] * (2 * self.m)
+        for n in rows:
+            g[n] = 1.0
+        weight = list(g)  # of each credit in the sum: 1 per row, plus what parents pass
+        for n in reversed(mixed):
+            _, d1, d2 = self.cap_grad(n, v)
+            for child, d in ((2 * n, d1), (2 * n + 1, d2)):
+                if g[child]:  # a row: its credit is 0 or composed further down
+                    weight[child] += weight[n] * d
+                else:  # outside A: its credit is its own rate
+                    g[child] -= weight[n] * d
+        return sum(r[n] - v[n] for n in rows), g
+
+    def convex(self, w: list, rho: float) -> tuple[list, float, int, bool]:
+        """Leaf rates at the optimum of the outer bound's convex program,
+        its value w.R, SLSQP's iteration count and its success flag.
+
+        Minimize w.R over (r, R) >= 0 subject to R(A) >= bound(A; r) for
+        every nonempty set A of real leaves, r_1 >= rho and r_n <= f(its
+        children) at every internal n. Padding rates stay at 0. The solve
+        starts cold at r = R = rho, and every constraint takes its analytic
+        jacobian (``bound_grad``, ``cap_grad``).
+        """
+        m, real = self.m, self.real
+        free = list(range(1, m)) + [m + i - 1 for i in real]  # r's columns; R's follow
+        col = {n: j for j, n in enumerate(free)}
+        p = len(free)
+        subsets = [
+            ([p + i for i in members], self.plan(frozenset(real[i] for i in members)))
+            for size in range(1, len(real) + 1)
+            for members in itertools.combinations(range(len(real)), size)
+        ]
+        wR = np.array([w[i - 1] for i in real])
+        grad = np.concatenate([np.zeros(p), wR])
+        memo = {}
+
+        def constraints(z):
+            """Values and jacobian of every constraint, as rows >= 0."""
+            key = z.tobytes()
+            if key not in memo:
+                memo.clear()
+                # SLSQP can step an ulp or two below its bounds, and it clips
+                # only what it hands the objective: clip the rates here
+                r = [0.0] * (2 * m)
+                for n, j in col.items():
+                    r[n] = max(float(z[j]), 0.0)
+                val = np.empty(len(subsets) + m)
+                jac = np.zeros((len(subsets) + m, len(z)))
+                for q, (cols, plan) in enumerate(subsets):
+                    b, g = self.bound_grad(plan, r)
+                    val[q] = z[cols].sum() - b
+                    jac[q, cols] = 1.0
+                    jac[q, :p] = [-g[n] for n in free]
+                q = len(subsets)
+                val[q], jac[q, col[1]] = r[1] - rho, 1.0
+                for q, n in enumerate(range(1, m), q + 1):
+                    fn, d1, d2 = self.cap_grad(n, r)
+                    val[q], jac[q, col[n]] = fn - r[n], -1.0
+                    for c, d in ((2 * n, d1), (2 * n + 1, d2)):
+                        if c in col:  # padding rates are no variables
+                            jac[q, col[c]] = d
+                memo[key] = val, jac
+            return memo[key]
+
+        res = minimize(
+            lambda z: (float(wR @ z[p:]), grad),
+            np.full(len(grad), rho),
+            jac=True,
+            method="SLSQP",
+            bounds=[(0.0, None)] * len(grad),
+            constraints={"type": "ineq", "fun": lambda z: constraints(z)[0],
+                         "jac": lambda z: constraints(z)[1]},
+            options={"maxiter": CONVEX_ITERS, "ftol": CONVEX_FTOL},
+        )
+        leaves = [0.0] * m
+        for i in real:
+            leaves[i - 1] = max(float(res.x[col[m + i - 1]]), 0.0)
+        return leaves, float(res.fun), int(res.nit), bool(res.success)
+
 
 def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
     """Rate cap at an internal node given its children's rates (nats).
@@ -202,11 +336,17 @@ def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
 
 
 def _check_rates(tree: BinaryTreeSource, r: dict) -> list:
-    """The (level, pos) rate dict as a heap-ordered list (index 0 unused)."""
+    """The (level, pos) rate dict as a heap-ordered list (index 0 unused).
+
+    A NaN rate is refused (``bad-number``); +inf is a legal rate.
+    """
     got = {tuple(k): float(v) for k, v in r.items()}
     nodes = tree.nodes()
     if set(got) != set(nodes):
         raise ModelError("rates must cover every tree node", code="bad-rates")
+    bad = [k for k, v in got.items() if math.isnan(v)]
+    if bad:
+        raise ModelError(f"rates must be numbers, not NaN at {sorted(bad)}", code="bad-number")
     return [0.0] + [got[v] for v in nodes]
 
 
@@ -291,9 +431,24 @@ def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
 
 
 class OuterSolution(NamedTuple):
+    """The outer value, the pinned rates it is taken at and their leaf
+    direction ``theta``, and what the solve cost.
+
+    ``method`` names the solver whose direction was pinned: that of
+    ``solve_method(tree)``, or "search" where the convex solve handed over
+    (see ``rd_out_min_weighted``). For "convex", ``iterations`` and
+    ``converged`` are SLSQP's iteration count and success flag. For
+    "search", ``iterations`` counts distinct objective evaluations (one
+    root pin each) and ``converged`` only says that a direction reaching
+    the root pin was found: the search has no optimality test.
+    """
+
     value: float
     rates: dict
     theta: np.ndarray
+    method: str
+    iterations: int
+    converged: bool
 
 
 def _weighted_plan(ev: _OuterEval, w: list[float]) -> list[tuple[float, tuple]]:
@@ -324,22 +479,28 @@ def rd_out_min_weighted(
 ) -> OuterSolution:
     """Best (largest) computable lower bound on the weighted sum rate.
 
-    Searches the equality manifold: leaf rates run free along a direction,
-    every internal rate saturates its cap, and the root is pinned to
-    half log(root variance / d) by monotone Newton along the direction
-    (``_OuterEval.pin``), stopped on the root rate's residual, so the
-    returned rates meet the distortion. Returns the minimized weighted
-    combination of nested-subset bounds (a valid lower bound for
-    every point of the rate region at distortion d).
+    On trees that ``solve_method`` marks "convex", one SLSQP solve of the
+    convex program (``_OuterEval.convex``) gives the optimal leaf rates;
+    on the others, and when the convex direction's pinned value lies above
+    the program's by more than CONVEX_SLACK, ``multi_start`` searches over
+    leaf-rate directions (the convex direction among its starts), and
+    ``starts``, ``sweeps``, ``tol``, ``seed`` and ``warm`` set its budget.
+    Either way the leaf direction is then scaled onto the equality
+    manifold: every internal rate saturates its cap, and the root is
+    pinned to half log(root variance / d) by monotone Newton along the
+    direction (``_OuterEval.pin``), stopped on the root rate's residual,
+    so the returned rates meet the distortion. Returns the weighted
+    combination of nested-subset bounds at those rates (a valid lower
+    bound for every point of the rate region at distortion d).
     """
     ev = _ev if _ev is not None else _OuterEval(tree)
     m = ev.m
     w = _check_weights(weights, m)
     _check_distortion(d)
+    method = solve_method(tree)
     s2 = tree.root_var
-    zero = OuterSolution(0.0, {n: 0.0 for n in tree.nodes()}, np.zeros(m))
     if s2 == 0.0 or d >= s2:
-        return zero
+        return OuterSolution(0.0, {n: 0.0 for n in tree.nodes()}, np.zeros(m), method, 0, True)
     rho = 0.5 * math.log(s2 / d)
     cap = ev.max_root()
     if rho >= cap * (1 - 1e-12):
@@ -367,27 +528,44 @@ def rd_out_min_weighted(
             return None
         return ev.pin(u, rho)[1]
 
+    evals = 0
+
     def objective(x):
+        nonlocal evals
+        evals += 1
         rates = solve_rates(x)
         if rates is None:
             return math.inf
         return sum(delta * ev.bound(plan, rates) for delta, plan in plans)
 
     extra = []
-    if warm is not None:
-        warm = [float(v) for v in warm]
-        if len(warm) == m and max(warm) > 0:
-            extra.append(warm)
-    best_x, best_f = multi_start(
-        objective,
-        m,
-        real0,
-        starts=starts,
-        seed=seed,
-        sweeps=sweeps,
-        tol=tol,
-        extra_starts=extra,
-    )
+    if method == "convex":
+        leaves, program, iterations, converged = ev.convex(w, rho)
+        top = max(leaves)
+        best_x = [v / top for v in leaves] if top > 0.0 else leaves
+        best_f = objective(best_x)
+        # a (near-)zero weight leaves the program's optimum off the equality
+        # manifold, and its pinned direction can lose value: search then
+        if not best_f <= program + CONVEX_SLACK * (1.0 + abs(program)):
+            method = "search"
+            extra.append(best_x)
+    if method == "search":
+        if warm is not None:
+            warm = [float(v) for v in warm]
+            if len(warm) == m and max(warm) > 0:
+                extra.insert(0, warm)
+        evals = 0
+        best_x, best_f = multi_start(
+            objective,
+            m,
+            real0,
+            starts=starts,
+            seed=seed,
+            sweeps=sweeps,
+            tol=tol,
+            extra_starts=extra,
+        )
+        iterations, converged = evals, True
     rates = solve_rates(best_x)
     if rates is None or not math.isfinite(best_f):
         raise DomainError(
@@ -395,7 +573,8 @@ def rd_out_min_weighted(
             code="infeasible-distortion",
         )
     theta = np.array([best_x[i] if i in real0 else 0.0 for i in range(m)])
-    return OuterSolution(best_f, dict(zip(tree.nodes(), rates[1:])), theta)
+    return OuterSolution(best_f, dict(zip(tree.nodes(), rates[1:])), theta,
+                         method, iterations, converged)
 
 
 def rd_out_min_weighted_free(

@@ -219,6 +219,30 @@ TWO_ENCODER = {"binary_tree": {
 }}
 
 
+def test_outer_diagnostics_of_the_convex_solve(tmp_path):
+    p = write_model(tmp_path, "two.json", TWO_ENCODER)
+    runs = [run_cli("outer", "--tree", p, "-d", "0.55") for _ in range(2)]
+    assert runs[0].returncode == 0
+    assert runs[0].stdout == runs[1].stdout  # no wall times: the output is deterministic
+    diag = json.loads(runs[0].stdout)["diagnostics"]
+    assert set(diag) == {"method", "iterations", "converged"}
+    assert diag["method"] == "convex" and diag["converged"] is True
+    assert isinstance(diag["iterations"], int) and diag["iterations"] >= 1
+
+
+def test_outer_diagnostics_of_the_search(tmp_path):
+    # the figure tree reduced at x1 has zero-noise copy edges, whose noise
+    # NOISE_FLOOR_REL lifts, so the outer bound keeps the multi-start search
+    reduced = run_cli("reduce", fixture_path("figure_tree"), "--target", "x1")
+    p = write_model(tmp_path, "reduced.json", json.loads(reduced.stdout))
+    r = run_cli("outer", "--tree", p, "-d", "0.6", "--starts", "2")
+    assert r.returncode == 0
+    diag = json.loads(r.stdout)["diagnostics"]
+    assert set(diag) == {"method", "iterations", "converged"}
+    assert diag["method"] == "search" and diag["converged"] is True
+    assert isinstance(diag["iterations"], int) and diag["iterations"] >= 2
+
+
 def test_region_slice_csv(tmp_path):
     dest = tmp_path / "slice.csv"
     p = write_model(tmp_path, "two.json", TWO_ENCODER)

@@ -29,7 +29,7 @@ from gmtree import (
     telescope_f,
     weight_order,
 )
-from gmtree.outer import PIN_STEPS, _OuterEval
+from gmtree.outer import PIN_STEPS, _OuterEval, solve_method
 from conftest import random_binary_tree, small_tree  # noqa: F401
 
 
@@ -323,8 +323,22 @@ def test_outer_never_exceeds_inner():
         rng = np.random.default_rng(trial)
         w = list(rng.uniform(0.2, 1.0, t.leaf_count))
         iv = min_weighted_sum(t, w, d, starts=10).value
-        ov = rd_out_min_weighted(t, w, d, starts=10).value
-        assert ov <= iv + 5e-4
+        sol = rd_out_min_weighted(t, w, d, starts=10)
+        assert sol.value <= iv + 1e-8
+        assert frd_contains(t, sol.rates, d)
+        assert abs(sol.rates[(1, 1)] - 0.5 * math.log(t.root_var / d)) <= 1e-12
+
+
+def test_a_pinned_value_above_the_program_goes_to_the_search(small_tree):
+    # weight 0 on encoder 1: the program's optimum (0) sits off the equality
+    # manifold, and its pinned leaf direction is worth 0.06 nats against an
+    # inner value of 1e-9, so the search runs instead
+    d, w = 0.5, [0.0, 1.0]
+    sol = rd_out_min_weighted(small_tree, w, d, starts=8)
+    assert sol.method == "search"
+    assert sol.value <= min_weighted_sum(small_tree, w, d, starts=8).value + 1e-4
+    assert frd_contains(small_tree, sol.rates, d)
+    assert rd_out_min_weighted(small_tree, w[::-1], d, starts=8).method == "convex"
 
 
 def test_outer_guards(small_tree):
@@ -403,3 +417,76 @@ def test_matchup_report_fields(small_tree):
     assert rep.max_gap <= 1e-4
     assert rep.passed
     assert rep.distortion == d
+
+
+@st.composite
+def jacobian_cases(draw):
+    """A tree of depth 1-4 with padding leaves and no zero noise, and rates
+    on its internal nodes and real leaves (padding leaves at 0)."""
+    L = draw(st.integers(1, 4))
+    alpha, noise = {}, {}
+    for k in range(2, L + 1):
+        for i in range(1, 2 ** (k - 1) + 1):
+            alpha[(k, i)] = draw(st.floats(0.2, 0.95))
+            noise[(k, i)] = draw(st.floats(0.05, 1.0))
+    m = 2 ** (L - 1)
+    padding = draw(st.sets(st.integers(1, m), max_size=m - 1))
+    tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise, padding)
+    r = [0.0] * (2 * m)
+    for n in range(1, 2 * m):
+        if n - m + 1 not in padding:
+            r[n] = draw(st.floats(0.05, 1.5))
+    return tree, r
+
+
+def _central(fn, r, n, h=1e-6):
+    up, down = list(r), list(r)
+    up[n] += h
+    down[n] -= h
+    return (fn(up) - fn(down)) / (2 * h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jacobian_cases())
+@example((BinaryTreeSource(1, 1.3, {}, {}), [0.0, 0.4]))  # the root is the leaf
+def test_bound_and_cap_jacobians_match_central_differences(case):
+    # the convex program's jacobians: every subset bound of the real leaves
+    # and every internal cap, in every rate the program moves
+    tree, r = case
+    assert solve_method(tree) == "convex"
+    ev = _OuterEval(tree)
+    m = ev.m
+    moved = list(range(1, m)) + [m + i - 1 for i in ev.real]
+    for A in _all_subsets(len(ev.real))[1:]:
+        plan = ev.plan(frozenset(ev.real[i - 1] for i in A))
+        value, grad = ev.bound_grad(plan, r)
+        assert value == ev.bound(plan, r)
+        for n in moved:
+            want = _central(lambda v: ev.bound(plan, v), r, n)
+            assert abs(grad[n] - want) <= 1e-7 * (1 + abs(want))
+    for n in range(1, m):
+        value, d1, d2 = ev.cap_grad(n, r)
+        assert value == ev.f(n, r[2 * n], r[2 * n + 1])
+        for child, d in ((2 * n, d1), (2 * n + 1, d2)):
+            if child in moved:
+                want = _central(lambda v: ev.f(n, v[2 * n], v[2 * n + 1]), r, child)
+                assert abs(d - want) <= 1e-7 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("node", [(1, 1), (2, 1), (2, 2)])
+def test_rate_checks_refuse_nan_and_accept_inf(small_tree, node):
+    # a NaN rate used to pass membership and give NaN bounds
+    r = {(1, 1): 0.3, (2, 1): 0.5, (2, 2): 0.4}
+    r[node] = math.nan
+    for call in (
+        lambda: frd_contains(small_tree, r, 0.9),
+        lambda: rd_out_subset_bound(small_tree, r, [1]),
+        lambda: telescope_f(small_tree, (1, 1), [1], r),
+    ):
+        with pytest.raises(ModelError) as err:
+            call()
+        assert err.value.code == "bad-number"
+    r[node] = math.inf
+    assert isinstance(frd_contains(small_tree, r, 0.9), bool)
+    assert not math.isnan(rd_out_subset_bound(small_tree, r, [1]))
+    assert not math.isnan(telescope_f(small_tree, (1, 1), [1], r, "only"))
