@@ -57,7 +57,6 @@ from .outer import (
     matchup_verify,
     max_root_rate,
     rd_out_min_weighted,
-    rd_out_min_weighted_free,
     rd_out_subset_bound,
     telescope_f,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "telescope_f",
     "rd_out_subset_bound",
     "rd_out_min_weighted",
-    "rd_out_min_weighted_free",
     "equality_rates",
     "max_root_rate",
     "matchup_verify",

@@ -271,19 +271,16 @@ def cmd_inner(args):
 def cmd_outer(args):
     tree, leaf_map, obs = _load_binary(args.tree)
     w = _expand_weights(args.weights, tree, leaf_map, obs)
-    sol = outer.rd_out_min_weighted(
-        tree, w, args.distortion,
-        starts=args.starts, sweeps=args.iters, tol=args.tol, seed=args.seed,
-    )
+    sol = outer.rd_out_min_weighted(tree, w, args.distortion)
     payload = {
         "value_nats": float(sol.value),
         "value_bits": _bits(float(sol.value)),
         "weights": w,
         "rates": _rates_obj(sol.rates),
         "diagnostics": {
-            "method": sol.method,
             "iterations": sol.iterations,
             "converged": sol.converged,
+            "subsets": sol.subsets,
         },
     }
     if leaf_map:
@@ -476,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("-d", "--distortion", type=float, required=True)
     p.add_argument("--weights")
-    _add_solver_opts(p, starts_default=32)
     p.set_defaults(func=cmd_outer)
 
     p = sub.add_parser("verify-matchup", help="inner vs outer gap report over a weight grid")

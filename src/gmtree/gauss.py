@@ -172,6 +172,12 @@ def gaussian_cmi(K, A, B, C=()) -> float:
         a, b = b, a
 
     S = conditional_cov(K, a + b, c)
+    # the information is the same in any units: measure each variable in its
+    # own standard deviation, so that small variances keep their relative
+    # accuracy through the eigen-decompositions below
+    sd = np.sqrt(np.diag(K)[a + b])
+    sd[sd == 0.0] = 1.0
+    S = S / np.outer(sd, sd)
     na = len(a)
     Saa = S[:na, :na]
     Sbb = S[na:, na:]

@@ -3,42 +3,38 @@
 Every tree node (k, i) gets a nonnegative rate r_i^(k) measuring how much the
 codes reveal about the noise injected there. Feasibility at distortion d
 (``frd_contains``) pins the root rate from below by half the log ratio of the
-root variance to d and caps every internal node by a concave function of its
-children's rates:
+root variance to d and caps every internal node n by a concave function of
+its children's slots x_c:
 
-    f(r1, r2) = 1/2 log(1 + c1 (1 - e^(-2 r1)) + c2 (1 - e^(-2 r2))),
+    f_n = 1/2 log(1 + S_n),   S_n = sum over children c of coef_c phi(x_c),
 
-with c = alpha^2 * (own noise variance) / (child noise variance), the root
-using its full variance in place of a noise variance. Telescoping f down to
-the leaves and summing over the ancestors of an encoder subset yields a lower
-bound on that subset's sum rate. Each such bound is convex in the node rates
-r (it subtracts compositions of the concave, nondecreasing f), and so is the
-feasible set, so the weighted minimum is one convex program in (r, R):
+with phi(r) = 1 - e^(-2 r) and coef_c = alpha_c^2 N_n / N_c, N being a
+node's noise variance (the root's is its full variance).
 
-    minimize w.R  subject to  R(A) >= bound(A; r) for every nonempty set A
-    of real leaves, r_root >= rho, r_n <= f(children of n), r, R >= 0,
+Zero-noise (copy) edges, which ``binarize`` adds, are exact. A node n >= 2
+with N_n = 0 has rate 0, and its slot holds q_n = lim alpha_n^2 (1 -
+e^(-2 r_n)) / N_n instead. Its phi is the identity, its cap is alpha_n^2 S_n,
+and it is no row of any subset bound. A zero-noise child c enters a noisy
+parent n with coef_c = N_n; below a zero-noise parent a noisy child has
+coef_c = alpha_c^2 / N_c and a zero-noise child coef_c = 1.
 
-with padding rates fixed at 0. ``rd_out_min_weighted`` solves it once with
-SLSQP (``_OuterEval.convex``), started cold at r = R = rho, with analytic
-jacobians from one reverse pass over the heap list (``bound_grad``,
-``cap_grad``). The optimum's leaf-rate direction is then put on the equality
-manifold (internal rates saturated, root pinned), and the weighted
-combination of nested-subset bounds there is the reported outer value.
-Trees whose noise variances NOISE_FLOOR_REL lifts from 0, and trees with
-more than CONVEX_MAX_LEAVES real leaves, keep the seeded multi-start search
-over leaf-rate directions (``solve_method``). So does a solve whose pinned
-value lies above the program's by more than CONVEX_SLACK (relative): with a
-zero or near-zero weight the program's optimum can sit off the manifold.
-``matchup_verify`` cross-checks the outer value against the independently
-computed inner bound.
+Telescoping the caps down to the leaves and summing over the noisy ancestors
+of an encoder subset yields a lower bound on that subset's sum rate. Each such
+bound is convex in the slots x (it subtracts compositions of the concave,
+nondecreasing caps), and so is the feasible set, so the weighted minimum is
+one convex program in (x, R):
 
-The root pin is Newton's method along a ray t * u of leaf rates: one pass
-carries each node's rate and its derivative in t. Each f is jointly concave
-and nondecreasing and the leaves are linear in t, so the root rate is concave
-and nondecreasing in t, and Newton from t = 0 rises to the pin without
-overshooting. It stops on the residual, once the root rate is within two ulps
-of the pin. The free-rate audit twin, whose capped pass has kinks, keeps
-``brentq``.
+    minimize w.R  subject to  R(A) >= bound(A; x) for every nonempty set A
+    of real leaves, x_root >= rho, x_n <= cap of n's children, x, R >= 0,
+
+with padding slots fixed at 0. ``rd_out_min_weighted`` solves it with SLSQP
+and cutting planes (``_OuterEval.convex``), with analytic jacobians from one
+reverse pass over the heap list (``bound_grad``, ``cap``); its value is
+the program's w.R and its rates the program's x. An encoder of weight 0 is
+known: its R is free, so every subset containing it is dropped, and its leaf,
+the zero-noise nodes above it and their nearest noisy ancestor are held at
++inf. ``matchup_verify`` cross-checks the outer value against the
+independently computed inner bound.
 
 Rates are dicts keyed by (level, position) at the API; information is in
 nats. Inside, rates are lists in the heap layout of ``BinaryTreeSource``
@@ -46,19 +42,18 @@ nats. Inside, rates are lists in the heap layout of ``BinaryTreeSource``
 descending index order, children first.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
-from ._search import multi_start
 from .errors import DomainError, ModelError
 from .gauss import gaussian_cmi
 from .inner import (
     ChannelContext,
+    _check_alpha,
     _check_distortion,
     _check_weights,
     build_joint,
@@ -73,7 +68,6 @@ __all__ = [
     "telescope_f",
     "rd_out_subset_bound",
     "rd_out_min_weighted",
-    "rd_out_min_weighted_free",
     "matchup_verify",
     "equality_rates",
     "max_root_rate",
@@ -81,202 +75,178 @@ __all__ = [
     "MatchupReport",
 ]
 
-NOISE_FLOOR_REL = 1e-9  # zero noise variances are lifted to this times the root variance
-PIN_STEPS = 60  # Newton steps allowed to the root pin; the solver's pins take 4-8
-# rd_out_min_weighted_free's search budget
-FREE_SWEEPS = 120
-FREE_GOLDEN_ITERS = 16
-FREE_TOL = 1e-6
-WARM_STARTS = 6  # matchup_verify's starts for every weight vector after the first
-CONVEX_MAX_LEAVES = 8  # real leaves; the program has one constraint per nonempty subset
-CONVEX_ITERS = 100  # SLSQP iterations allowed
+WARM_STARTS = 6  # matchup_verify's inner starts for every weight vector after the first
+CONVEX_ITERS = 100  # SLSQP iterations allowed per solve
 CONVEX_FTOL = 1e-12  # SLSQP's stopping tolerance on the objective
-CONVEX_SLACK = 1e-8  # pinned value above the program's by more than this (relative): search
-
-
-def solve_method(tree: BinaryTreeSource) -> str:
-    """How ``rd_out_min_weighted`` solves on this tree: "convex" or "search".
-
-    The convex program runs unless NOISE_FLOOR_REL lifts a noise variance
-    of the tree from 0 (the lifted coefficients, up to 1e9, make SLSQP's
-    line search fail) or the tree has more than CONVEX_MAX_LEAVES real
-    leaves; those trees keep the multi-start search.
-    """
-    eps = NOISE_FLOOR_REL * tree.root_var
-    if any(v < eps for v in tree.heap_noise[1:]):
-        return "search"
-    return "convex" if tree.leaf_count - len(tree.padding) <= CONVEX_MAX_LEAVES else "search"
-
-
-def _factor(r: float) -> float:
-    """1 - e^(-2r), saturating cleanly at r = +inf."""
-    if r == math.inf:
-        return 1.0
-    if r < 0:
-        raise DomainError("rates must be nonnegative", code="negative-rate")
-    return -math.expm1(-2.0 * r)
+CUT_TOL = 1e-12  # a subset bound violated by more than this (relative) joins the program
 
 
 class _OuterEval:
-    """Child-cap coefficients of one tree by heap index, degenerate noises perturbed."""
+    """Child-cap coefficients of one tree by heap index, zero noise exact."""
 
     def __init__(self, tree: BinaryTreeSource):
         m = self.m = tree.leaf_count
-        eps = NOISE_FLOOR_REL * tree.root_var
-        # own[n]: the variance node n passes to its children's coefficients
-        own = [max(v, eps) for v in tree.heap_noise]
-        # c[n]: the coefficient of child n in its parent's cap
-        self.c = [0.0, 0.0]
+        noise = tree.heap_noise
+        a2 = self.a2 = [a * a for a in tree.heap_alpha]
+        # zero[n]: node n has zero noise, and its slot holds q_n
+        zero = self.zero = [False, False] + [v == 0.0 for v in noise[2:]]
+        # coef[n]: the coefficient of child n in its parent's sum S
+        self.coef = [0.0, 0.0]
         for n in range(2, 2 * m):
-            a = tree.heap_alpha[n]
-            self.c.append(a * a * own[n // 2] / own[n] if own[n // 2] > 0 else 0.0)
+            p = n // 2
+            if zero[p]:
+                self.coef.append(1.0 if zero[n] else a2[n] / noise[n])
+            else:
+                self.coef.append(noise[p] if zero[n] else a2[n] * noise[p] / noise[n])
         self.real = [i for i in range(1, m + 1) if i not in tree.padding]
+        # slots that are always 0: padding leaves and zero-noise nodes with alpha 0
+        self.fixed = {m + i - 1 for i in tree.padding} | {
+            n for n in range(2, 2 * m) if zero[n] and a2[n] == 0.0}
 
-    def f(self, n: int, r1: float, r2: float) -> float:
-        c = self.c
-        return 0.5 * math.log1p(c[2 * n] * _factor(r1) + c[2 * n + 1] * _factor(r2))
+    def cap(self, n: int, x1: float, x2: float) -> tuple[float, float, float]:
+        """The cap at internal node n of its children's slots x1 and x2, and
+        its partial derivatives in them."""
+        s, d = 0.0, []
+        for k, x in ((2 * n, x1), (2 * n + 1, x2)):
+            if x < 0:
+                raise DomainError("rates must be nonnegative", code="negative-rate")
+            c = self.coef[k]
+            if self.zero[k]:  # phi(q) = q
+                s += c * x
+                d.append(c)
+            else:  # phi(r) = 1 - e^(-2r)
+                s -= c * math.expm1(-2.0 * x)
+                d.append(2.0 * c * math.exp(-2.0 * x))
+        if self.zero[n]:  # alpha^2 S, and 0 for alpha = 0 even at S = inf
+            a2 = self.a2[n]
+            return (a2 * s if a2 else 0.0), a2 * d[0], a2 * d[1]
+        k = 0.5 / (1.0 + s)
+        return 0.5 * math.log1p(s), k * d[0], k * d[1]
+
+    def f(self, n: int, x1: float, x2: float) -> float:
+        """The cap at internal node n of its children's slots x1 and x2."""
+        return self.cap(n, x1, x2)[0]
 
     def sweep(self, r: list, nodes) -> list:
-        """Set r[n] to f of its children for each n of ``nodes`` (children first)."""
-        f = self.f
+        """Set r[n] to the cap of its children for each n of ``nodes`` (children first)."""
         for n in nodes:
-            r[n] = f(n, r[2 * n], r[2 * n + 1])
+            r[n] = self.cap(n, r[2 * n], r[2 * n + 1])[0]
         return r
 
-    def compose(self, leaf_rates) -> list:
-        """All node rates with internals saturated at f of their children."""
-        m = self.m
-        return self.sweep([0.0] * m + [float(v) for v in leaf_rates], range(m - 1, 0, -1))
-
-    def reach(self, u) -> float:
-        """Supremum over t of the root rate at leaf rates t * u (u >= 0).
-
-        The root rate is nondecreasing in t, so its supremum is ``compose``
-        with the leaves of u's support at +inf and the rest at 0.
-        """
-        return self.compose([math.inf if v > 0.0 else 0.0 for v in u])[1]
-
     def max_root(self) -> float:
-        """Supremum of the composed root rate: real leaves at +inf, padding at 0."""
-        real = set(self.real)
-        return self.reach([float(i in real) for i in range(1, self.m + 1)])
-
-    def ray(self, t: float, u) -> tuple[list, float]:
-        """``compose`` at leaf rates t * u, with the root's tangent dr[1]/dt.
-
-        The rates are those of ``compose`` bit for bit (same ``_factor`` and
-        ``log1p`` arithmetic); the tangent carries
-        df/dr1 = c1 e^(-2 r1) / (1 + c1 F1 + c2 F2) up the same pass.
-        """
-        m, c = self.m, self.c
-        r = [0.0] * m + [t * ui for ui in u]
-        dr = [0.0] * m + list(u)
-        expm1, log1p = math.expm1, math.log1p
-        for n in range(m - 1, 0, -1):
-            a, b = c[2 * n], c[2 * n + 1]
-            f1, f2 = -expm1(-2.0 * r[2 * n]), -expm1(-2.0 * r[2 * n + 1])
-            x = a * f1 + b * f2
-            r[n] = 0.5 * log1p(x)
-            dr[n] = (a * (1.0 - f1) * dr[2 * n] + b * (1.0 - f2) * dr[2 * n + 1]) / (1.0 + x)
-        return r, dr[1]
-
-    def pin(self, u, rho: float) -> tuple[float, list, int]:
-        """The t >= 0 at which the root rate of t * u meets rho, the rates
-        there and the number of Newton steps taken.
-
-        Newton from t = 0 on a concave nondecreasing root rate rises to rho
-        without a bracket. It stops once rho - r[1] is within two ulps of
-        rho, after PIN_STEPS steps, or if the tangent vanishes. The caller
-        checks that rho is reachable along u.
-        """
-        tol = 2.0 * math.ulp(rho)
-        t, steps = 0.0, 0
-        r, slope = self.ray(t, u)
-        while rho - r[1] > tol and slope > 0.0 and steps < PIN_STEPS:
-            t += (rho - r[1]) / slope
-            r, slope = self.ray(t, u)
-            steps += 1
-        return t, r, steps
-
-    def plan(self, A) -> tuple[list, list, list]:
-        """Index lists of the subset bound for leaf set A, from one bottom-up
-        mask pass: the ancestor rows (nodes whose leaves meet A), the nodes
-        wholly inside A and the mixed nodes, bottom-up."""
+        """Supremum of the composed root rate: real leaves at +inf, fixed slots at 0."""
         m = self.m
-        s = [0] * m + [int(i in A) for i in range(1, m + 1)]  # 0 outside, 1 inside, 2 mixed
+        leaves = [0.0 if n in self.fixed else math.inf for n in range(m, 2 * m)]
+        return self.sweep([0.0] * m + leaves, range(m - 1, 0, -1))[1]
+
+    def plan(self, A) -> tuple:
+        """The subset bound's index lists for leaf set A, from one bottom-up
+        mask pass: the rows (noisy nodes whose leaves meet A), the nodes
+        wholly inside A, the mixed nodes bottom-up, and the mask (0 outside
+        A, 1 inside, 2 mixed)."""
+        m = self.m
+        s = [0] * m + [int(i in A) for i in range(1, m + 1)]
         for n in range(m - 1, 0, -1):
             s[n] = s[2 * n] if s[2 * n] == s[2 * n + 1] else 2
-        rows = [n for n in range(1, 2 * m) if s[n]]
-        return rows, [n for n in rows if s[n] == 1], [n for n in reversed(rows) if s[n] == 2]
+        rows = [n for n in range(1, 2 * m) if s[n] and not self.zero[n]]
+        inside = [n for n in range(1, 2 * m) if s[n] == 1]
+        return rows, inside, [n for n in range(m - 1, 0, -1) if s[n] == 2], s
 
-    def credit(self, r: list, zero, mixed) -> list:
-        """Telescoped rates: ``zero`` nodes at 0, ``mixed`` nodes recomposed
-        through f, every other node at its own rate."""
+    def credit(self, r: list, cleared, mixed) -> list:
+        """Telescoped slots: ``cleared`` nodes at 0, ``mixed`` nodes
+        recomposed through their caps, every other node at its own slot."""
         v = list(r)
-        for n in zero:
+        for n in cleared:
             v[n] = 0.0
         return self.sweep(v, mixed)
 
     def bound(self, plan, r: list) -> float:
-        """Each ancestor row's rate less its credit for the complement's codes."""
-        rows, inside, mixed = plan
+        """Each row's rate less its credit for the complement's codes; a
+        row known exactly (rate and credit +inf) adds 0."""
+        rows, inside, mixed, _ = plan
         v = self.credit(r, inside, mixed)
-        return sum(r[n] - v[n] for n in rows)
-
-    def cap_grad(self, n: int, r: list) -> tuple[float, float, float]:
-        """f at node n of its children's rates in r (the arithmetic of
-        ``f``), and its partial derivatives in the two children's rates."""
-        a, b = self.c[2 * n], self.c[2 * n + 1]
-        r1, r2 = r[2 * n], r[2 * n + 1]
-        x = a * _factor(r1) + b * _factor(r2)
-        return 0.5 * math.log1p(x), a * math.exp(-2.0 * r1) / (1.0 + x), b * math.exp(-2.0 * r2) / (1.0 + x)
+        return sum(r[n] - v[n] for n in rows if r[n] != v[n])
 
     def bound_grad(self, plan, r: list) -> tuple[float, list]:
         """``bound(plan, r)`` and its gradient in r by heap index.
 
-        Every row n adds r_n and subtracts its credit v_n. A mixed row's
-        credit is f of its children's credits; the others are constants (0
-        inside A) or their own rates (outside A). One reverse pass over the
+        Every row n adds r_n and subtracts its credit v_n. A mixed node's
+        credit is the cap of its children's credits; the others are 0
+        (inside A) or their own slots (outside A). One reverse pass over the
         mixed nodes, parents first, carries each credit's weight in the sum
         down to the children, and the weight that reaches a node outside A
-        is its rate's share.
+        is its slot's share.
         """
-        rows, inside, mixed = plan
+        rows, inside, mixed, s = plan
         v = self.credit(r, inside, mixed)
         g = [0.0] * (2 * self.m)
         for n in rows:
             g[n] = 1.0
         weight = list(g)  # of each credit in the sum: 1 per row, plus what parents pass
         for n in reversed(mixed):
-            _, d1, d2 = self.cap_grad(n, v)
+            _, d1, d2 = self.cap(n, v[2 * n], v[2 * n + 1])
             for child, d in ((2 * n, d1), (2 * n + 1, d2)):
-                if g[child]:  # a row: its credit is 0 or composed further down
+                if s[child] == 2:
                     weight[child] += weight[n] * d
-                else:  # outside A: its credit is its own rate
+                elif s[child] == 0:  # outside A: its credit is its own slot
                     g[child] -= weight[n] * d
-        return sum(r[n] - v[n] for n in rows), g
+        return sum(r[n] - v[n] for n in rows if r[n] != v[n]), g
 
-    def convex(self, w: list, rho: float) -> tuple[list, float, int, bool]:
-        """Leaf rates at the optimum of the outer bound's convex program,
-        its value w.R, SLSQP's iteration count and its success flag.
+    def known(self, w: list) -> set:
+        """Slots held at +inf for weights w: each real leaf of weight 0, and
+        through zero-noise nodes every node up to its nearest noisy ancestor."""
+        held = set()
+        for i in self.real:
+            if w[i - 1] > 0.0:
+                continue
+            n = self.m + i - 1
+            while n not in self.fixed:
+                held.add(n)
+                if not self.zero[n]:
+                    break
+                n //= 2
+        return held
 
-        Minimize w.R over (r, R) >= 0 subject to R(A) >= bound(A; r) for
-        every nonempty set A of real leaves, r_1 >= rho and r_n <= f(its
-        children) at every internal n. Padding rates stay at 0. The solve
-        starts cold at r = R = rho, and every constraint takes its analytic
-        jacobian (``bound_grad``, ``cap_grad``).
+    def convex(self, w: list, rho: float) -> tuple[list, float, int, bool, int]:
+        """Slots at the optimum of the outer bound's convex program (heap
+        list), its value w.R, SLSQP's iterations summed over the rounds, the
+        last solve's success flag and its number of subset constraints.
+
+        Minimize w.R over (x, R) >= 0 subject to R(A) >= bound(A; x) for the
+        subsets A in play, x_root >= rho (a bound) and x_n <= its cap at
+        every internal n. Fixed slots stay at 0 and known ones at +inf
+        (``known``); only encoders of positive weight (live) have an R. The
+        subsets start as the weight order's nested prefix sets and the
+        singletons. After each solve every subset of the live encoders is
+        scanned, and the most violated bound, if it exceeds CUT_TOL, joins
+        the program, which is solved again from the last solution.
         """
-        m, real = self.m, self.real
-        free = list(range(1, m)) + [m + i - 1 for i in real]  # r's columns; R's follow
+        m = self.m
+        held = self.known(w)
+        live = [i for i in self.real if w[i - 1] > 0.0]
+        free = [n for n in range(1, 2 * m) if n not in held and n not in self.fixed]
         col = {n: j for j, n in enumerate(free)}
         p = len(free)
-        subsets = [
-            ([p + i for i in members], self.plan(frozenset(real[i] for i in members)))
-            for size in range(1, len(real) + 1)
-            for members in itertools.combinations(range(len(real)), size)
-        ]
-        wR = np.array([w[i - 1] for i in real])
+        caps = [n for n in free if n < m]
+        wR = np.array([w[i - 1] for i in live])
         grad = np.concatenate([np.zeros(p), wR])
+        r = [math.inf if n in held else 0.0 for n in range(2 * m)]
+
+        def slots(z):
+            # SLSQP can step an ulp or two below its bounds, and it clips
+            # only what it hands the objective: clip here
+            for n, j in col.items():
+                r[n] = max(float(z[j]), 0.0)
+            return r
+
+        def subset(A):
+            return [p + k for k, i in enumerate(live) if i in A], self.plan(A)
+
+        order = [i for i in weight_order(w) if w[i - 1] > 0.0]
+        active = {}  # leaf set -> its R columns and plan, in the order added
+        for A in map(frozenset, [order[:j] for j in range(1, len(order) + 1)] + [[i] for i in live]):
+            if A not in active:
+                active[A] = subset(A)
         memo = {}
 
         def constraints(z):
@@ -284,50 +254,65 @@ class _OuterEval:
             key = z.tobytes()
             if key not in memo:
                 memo.clear()
-                # SLSQP can step an ulp or two below its bounds, and it clips
-                # only what it hands the objective: clip the rates here
-                r = [0.0] * (2 * m)
-                for n, j in col.items():
-                    r[n] = max(float(z[j]), 0.0)
-                val = np.empty(len(subsets) + m)
-                jac = np.zeros((len(subsets) + m, len(z)))
-                for q, (cols, plan) in enumerate(subsets):
-                    b, g = self.bound_grad(plan, r)
+                x = slots(z)
+                val = np.empty(len(active) + len(caps))
+                jac = np.zeros((len(val), len(z)))
+                for q, (cols, plan) in enumerate(active.values()):
+                    b, g = self.bound_grad(plan, x)
                     val[q] = z[cols].sum() - b
                     jac[q, cols] = 1.0
                     jac[q, :p] = [-g[n] for n in free]
-                q = len(subsets)
-                val[q], jac[q, col[1]] = r[1] - rho, 1.0
-                for q, n in enumerate(range(1, m), q + 1):
-                    fn, d1, d2 = self.cap_grad(n, r)
-                    val[q], jac[q, col[n]] = fn - r[n], -1.0
+                for q, n in enumerate(caps, len(active)):
+                    fn, d1, d2 = self.cap(n, x[2 * n], x[2 * n + 1])
+                    val[q], jac[q, col[n]] = fn - x[n], -1.0
                     for c, d in ((2 * n, d1), (2 * n + 1, d2)):
-                        if c in col:  # padding rates are no variables
+                        if c in col:  # fixed and known slots are no variables
                             jac[q, col[c]] = d
                 memo[key] = val, jac
             return memo[key]
 
-        res = minimize(
-            lambda z: (float(wR @ z[p:]), grad),
-            np.full(len(grad), rho),
-            jac=True,
-            method="SLSQP",
-            bounds=[(0.0, None)] * len(grad),
-            constraints={"type": "ineq", "fun": lambda z: constraints(z)[0],
-                         "jac": lambda z: constraints(z)[1]},
-            options={"maxiter": CONVEX_ITERS, "ftol": CONVEX_FTOL},
-        )
-        leaves = [0.0] * m
-        for i in real:
-            leaves[i - 1] = max(float(res.x[col[m + i - 1]]), 0.0)
-        return leaves, float(res.fun), int(res.nit), bool(res.success)
+        z = np.full(len(grad), rho)
+        value, iterations, converged = 0.0, 0, True
+        bounds = [(rho if n == 1 else 0.0, None) for n in free] + [(0.0, None)] * len(live)
+        while len(z):  # with every slot known or fixed there is nothing to solve
+            memo.clear()
+            res = minimize(
+                lambda z: (float(wR @ z[p:]), grad),
+                z,
+                jac=True,
+                method="SLSQP",
+                bounds=bounds,
+                constraints={"type": "ineq", "fun": lambda z: constraints(z)[0],
+                             "jac": lambda z: constraints(z)[1]},
+                options={"maxiter": CONVEX_ITERS, "ftol": CONVEX_FTOL},
+            )
+            z, value = res.x, float(res.fun)
+            iterations += int(res.nit)
+            converged = bool(res.success)
+            x = slots(z)
+            worst, gap = None, CUT_TOL * (1.0 + abs(value))
+            for bits in range(1, 1 << len(live)):
+                A = frozenset(i for k, i in enumerate(live) if bits >> k & 1)
+                if A not in active:
+                    cols, plan = subset(A)
+                    excess = self.bound(plan, x) - z[cols].sum()
+                    if excess > gap:
+                        worst, gap = A, excess
+            if worst is None:
+                break
+            active[worst] = subset(worst)
+        x = slots(z)
+        if 1 in col:
+            x[1] = max(x[1], rho)
+        return list(x), value, iterations, converged, len(active)
 
 
 def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
-    """Rate cap at an internal node given its children's rates (nats).
+    """Cap at an internal node given its children's slots (nats).
 
-    Zero noise variances below are perturbed to NOISE_FLOOR_REL times the
-    root variance; the cap is continuous in that limit.
+    A noisy child's slot is its rate, a zero-noise child's its q (see the
+    module docstring). The cap is a rate at a noisy node and a q at a
+    zero-noise one.
     """
     h = tree.index(node)
     if h >= tree.leaf_count:
@@ -358,7 +343,11 @@ def _check_subset(tree: BinaryTreeSource, A: Iterable[int]) -> frozenset:
 
 
 def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) -> bool:
-    """Membership of r in the feasible noise-quantization set at distortion d."""
+    """Membership of r in the feasible noise-quantization set at distortion d.
+
+    A zero-noise node's entry is its q (see the module docstring), capped
+    like a rate by ``f_node``.
+    """
     _check_distortion(d)
     rates = _check_rates(tree, r)
     if any(v < -tol for v in rates[1:]):
@@ -373,11 +362,12 @@ def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) 
 
 
 def telescope_f(tree: BinaryTreeSource, node, A: Iterable[int], r: dict, mode: str = "both") -> float:
-    """Recursive f-composition of r at ``node`` relative to leaf set A.
+    """Recursive cap composition of r at ``node`` relative to leaf set A.
 
     Nodes whose observations sit fully inside A (or fully outside) bottom the
-    recursion out at their own rate; in "only" mode the rates of nodes fully
-    outside A are zeroed instead. Mixed nodes recurse through f.
+    recursion out at their own slot; in "only" mode the slots of nodes fully
+    outside A are zeroed instead. Mixed nodes recurse through their caps; a
+    zero-noise node's slot is its q.
     """
     if mode not in ("both", "only"):
         raise ModelError("mode must be 'both' or 'only'", code="bad-mode")
@@ -385,7 +375,7 @@ def telescope_f(tree: BinaryTreeSource, node, A: Iterable[int], r: dict, mode: s
     kept = _check_subset(tree, A)
     h = tree.index(node)
     ev = _OuterEval(tree)
-    _, outside, mixed = ev.plan(frozenset(range(1, ev.m + 1)) - kept)
+    _, outside, mixed, _ = ev.plan(frozenset(range(1, ev.m + 1)) - kept)
     # only the subtree of h is composed: n lies in it when its leading bits are h
     below = [n for n in mixed if n >= h and n >> (n.bit_length() - h.bit_length()) == h]
     return ev.credit(rates, outside if mode == "only" else (), below)[h]
@@ -394,8 +384,9 @@ def telescope_f(tree: BinaryTreeSource, node, A: Iterable[int], r: dict, mode: s
 def rd_out_subset_bound(tree: BinaryTreeSource, r: dict, A: Iterable[int]) -> float:
     """Lower bound on the sum rate of encoder subset A from rates r.
 
-    Sums, over every level and every ancestor of A, the node rate minus the
-    telescoped credit for what the complement's codes already convey.
+    Sums, over every noisy ancestor of A, the node rate minus the telescoped
+    credit for what the complement's codes already convey. Zero-noise nodes
+    carry q, not a rate, and are no rows.
     """
     rates = _check_rates(tree, r)
     Aset = _check_subset(tree, A)
@@ -413,94 +404,69 @@ def max_root_rate(tree: BinaryTreeSource) -> float:
 def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
     """Noise-quantization rates induced by a Gaussian test channel.
 
-    r at node (k, i) is I(x_(k,i); u_{O(k,i)} | parent) (no conditioning at
-    the root); these saturate every internal cap and witness feasibility at
-    the channel's achieved distortion. Oracle-grade (covariance based), used
-    by verification paths rather than optimizers.
+    r at a noisy node (k, i) is I(x_(k,i); u_{O(k,i)} | parent) (no
+    conditioning at the root); these saturate every internal cap and witness
+    feasibility at the channel's achieved distortion. A zero-noise leaf gets
+    q = alpha_edge^2 a^2 / ((1 - a^2) V_leaf) for its channel coefficient a,
+    and a zero-noise internal node its saturated cap. Oracle-grade
+    (covariance based), used by verification paths rather than optimizers.
     """
+    a = _check_alpha(tree, alpha)
     # the joint lists x in heap order (x_n at n - 1), then u_1..u_m, so the
     # u of heap leaf h sits at h + m - 1
-    M = build_joint(tree, alpha).matrix
+    M = build_joint(tree, a).matrix
     m = tree.leaf_count
-    out = {}
-    for n, node in enumerate(tree.nodes(), 1):
-        span = m >> (node[0] - 1)  # node n's leaves are heap n*span .. (n+1)*span - 1
-        uo = [h + m - 1 for h in range(n * span, (n + 1) * span)]
-        out[node] = gaussian_cmi(M, [n - 1], uo, [] if n == 1 else [n // 2 - 1])
-    return out
+    ev = _OuterEval(tree)
+    x = [0.0] * (2 * m)
+    nodes = tree.nodes()
+    for n in range(2 * m - 1, 0, -1):  # children first
+        if not ev.zero[n]:
+            span = m >> (n.bit_length() - 1)  # node n's leaves are heap n*span .. (n+1)*span - 1
+            uo = [h + m - 1 for h in range(n * span, (n + 1) * span)]
+            x[n] = gaussian_cmi(M, [n - 1], uo, [] if n == 1 else [n // 2 - 1])
+        elif n >= m:  # the channel's q at a zero-noise leaf
+            ai = a[n - m]
+            top = tree.heap_alpha[n] ** 2 * ai * ai
+            den = (1.0 - ai * ai) * tree.var(nodes[n - 1])
+            x[n] = top / den if den > 0.0 else (math.inf if top else 0.0)
+        else:
+            x[n] = ev.f(n, x[2 * n], x[2 * n + 1])
+    return dict(zip(nodes, map(float, x[1:])))
 
 
 class OuterSolution(NamedTuple):
-    """The outer value, the pinned rates it is taken at and their leaf
-    direction ``theta``, and what the solve cost.
+    """The convex program's optimum and what the solve cost.
 
-    ``method`` names the solver whose direction was pinned: that of
-    ``solve_method(tree)``, or "search" where the convex solve handed over
-    (see ``rd_out_min_weighted``). For "convex", ``iterations`` and
-    ``converged`` are SLSQP's iteration count and success flag. For
-    "search", ``iterations`` counts distinct objective evaluations (one
-    root pin each) and ``converged`` only says that a direction reaching
-    the root pin was found: the search has no optimality test.
+    ``value`` is the program's w.R and ``rates`` its slots by node: a rate
+    at a noisy node, q at a zero-noise one, +inf where a weight-0 encoder
+    makes the node known, 0 at padding. ``iterations`` is SLSQP's iteration
+    count summed over the cutting-plane rounds, ``converged`` the last
+    solve's success flag and ``subsets`` the number of subset constraints in
+    the last solve.
     """
 
     value: float
     rates: dict
-    theta: np.ndarray
-    method: str
     iterations: int
     converged: bool
+    subsets: int
 
 
-def _weighted_plan(ev: _OuterEval, w: list[float]) -> list[tuple[float, tuple]]:
-    """Nested suffix sets of the ascending weight order with their deltas."""
-    sigma = list(reversed(weight_order(w)))  # ascending
-    plans = []
-    prev = 0.0
-    for j, s in enumerate(sigma):
-        delta = w[s - 1] - prev
-        prev = w[s - 1]
-        if delta <= 0.0:
-            continue
-        plans.append((delta, ev.plan(frozenset(sigma[j:]))))
-    return plans
+def rd_out_min_weighted(tree: BinaryTreeSource, weights, d: float, *,
+                        _ev: _OuterEval | None = None) -> OuterSolution:
+    """Minimum of the converse bound on the weighted sum rate at distortion d.
 
-
-def rd_out_min_weighted(
-    tree: BinaryTreeSource,
-    weights,
-    d: float,
-    *,
-    starts: int = 32,
-    sweeps: int = 200,
-    tol: float = 1e-6,
-    seed: int = 0,
-    warm=None,
-    _ev: _OuterEval | None = None,
-) -> OuterSolution:
-    """Best (largest) computable lower bound on the weighted sum rate.
-
-    On trees that ``solve_method`` marks "convex", one SLSQP solve of the
-    convex program (``_OuterEval.convex``) gives the optimal leaf rates;
-    on the others, and when the convex direction's pinned value lies above
-    the program's by more than CONVEX_SLACK, ``multi_start`` searches over
-    leaf-rate directions (the convex direction among its starts), and
-    ``starts``, ``sweeps``, ``tol``, ``seed`` and ``warm`` set its budget.
-    Either way the leaf direction is then scaled onto the equality
-    manifold: every internal rate saturates its cap, and the root is
-    pinned to half log(root variance / d) by monotone Newton along the
-    direction (``_OuterEval.pin``), stopped on the root rate's residual,
-    so the returned rates meet the distortion. Returns the weighted
-    combination of nested-subset bounds at those rates (a valid lower
-    bound for every point of the rate region at distortion d).
+    One convex program (``_OuterEval.convex``), solved by SLSQP with cutting
+    planes over the subset constraints; the root rate is bounded below by
+    half log(root variance / d). Its value is a lower bound for every point
+    of the rate region at distortion d.
     """
     ev = _ev if _ev is not None else _OuterEval(tree)
-    m = ev.m
-    w = _check_weights(weights, m)
+    w = _check_weights(weights, ev.m)
     _check_distortion(d)
-    method = solve_method(tree)
     s2 = tree.root_var
     if s2 == 0.0 or d >= s2:
-        return OuterSolution(0.0, {n: 0.0 for n in tree.nodes()}, np.zeros(m), method, 0, True)
+        return OuterSolution(0.0, {n: 0.0 for n in tree.nodes()}, 0, True, 0)
     rho = 0.5 * math.log(s2 / d)
     cap = ev.max_root()
     if rho >= cap * (1 - 1e-12):
@@ -509,150 +475,8 @@ def rd_out_min_weighted(
             f"maximum {cap:.6f}",
             code="infeasible-distortion",
         )
-    plans = _weighted_plan(ev, w)
-    real0 = [i - 1 for i in ev.real]
-    reach = {}  # ev.reach(u) depends only on u's support
-
-    def solve_rates(x):
-        mx = max(x[i] for i in real0)
-        if mx <= 1e-12:
-            return None
-        u = [0.0] * m
-        for i in real0:
-            u[i] = x[i] / mx
-        support = tuple(v > 0.0 for v in u)
-        top = reach.get(support)
-        if top is None:
-            top = reach[support] = ev.reach(u)
-        if top < rho:
-            return None
-        return ev.pin(u, rho)[1]
-
-    evals = 0
-
-    def objective(x):
-        nonlocal evals
-        evals += 1
-        rates = solve_rates(x)
-        if rates is None:
-            return math.inf
-        return sum(delta * ev.bound(plan, rates) for delta, plan in plans)
-
-    extra = []
-    if method == "convex":
-        leaves, program, iterations, converged = ev.convex(w, rho)
-        top = max(leaves)
-        best_x = [v / top for v in leaves] if top > 0.0 else leaves
-        best_f = objective(best_x)
-        # a (near-)zero weight leaves the program's optimum off the equality
-        # manifold, and its pinned direction can lose value: search then
-        if not best_f <= program + CONVEX_SLACK * (1.0 + abs(program)):
-            method = "search"
-            extra.append(best_x)
-    if method == "search":
-        if warm is not None:
-            warm = [float(v) for v in warm]
-            if len(warm) == m and max(warm) > 0:
-                extra.insert(0, warm)
-        evals = 0
-        best_x, best_f = multi_start(
-            objective,
-            m,
-            real0,
-            starts=starts,
-            seed=seed,
-            sweeps=sweeps,
-            tol=tol,
-            extra_starts=extra,
-        )
-        iterations, converged = evals, True
-    rates = solve_rates(best_x)
-    if rates is None or not math.isfinite(best_f):
-        raise DomainError(
-            "no feasible rate assignment found for the requested distortion",
-            code="infeasible-distortion",
-        )
-    theta = np.array([best_x[i] if i in real0 else 0.0 for i in range(m)])
-    return OuterSolution(best_f, dict(zip(tree.nodes(), rates[1:])), theta,
-                         method, iterations, converged)
-
-
-def rd_out_min_weighted_free(
-    tree: BinaryTreeSource,
-    weights,
-    d: float,
-    *,
-    starts: int = 32,
-    seed: int = 0,
-) -> float:
-    """Audit twin of rd_out_min_weighted over fully free node rates.
-
-    Candidate rates are projected into feasibility (internal caps applied
-    bottom-up, root pinned) instead of being parameterized on the equality
-    manifold. Slower and only used to confirm that the restricted
-    parameterization is not leaving value on the table.
-    """
-    ev = _OuterEval(tree)
-    m = ev.m
-    w = _check_weights(weights, m)
-    _check_distortion(d)
-    s2 = tree.root_var
-    if s2 == 0.0 or d >= s2:
-        return 0.0
-    rho = 0.5 * math.log(s2 / d)
-    if rho >= ev.max_root() * (1 - 1e-12):
-        raise DomainError("unreachable distortion", code="infeasible-distortion")
-    plans = _weighted_plan(ev, w)
-    # every node but the root and the padding leaves (heap m + i - 1 for leaf i)
-    coords = [n for n in range(2, 2 * m) if n - m + 1 not in tree.padding]
-    rmax = 4.0 * rho + 8.0
-
-    def sweep(x, scale):
-        """Bottom-up cap pass at the scaled proposal; returns the rates with
-        the root pinned and the root's cap."""
-        rates = [0.0] * (2 * m)
-        for val, n in zip(x, coords):
-            rates[n] = val * rmax * scale
-        for n in range(m - 1, 1, -1):
-            rates[n] = min(rates[n], ev.f(n, rates[2 * n], rates[2 * n + 1]))
-        root_cap = ev.f(1, rates[2], rates[3]) if m > 1 else rho
-        rates[1] = rho
-        return rates, root_cap
-
-    def project(x):
-        if not any(v > 0 for v in x):
-            x = [1.0] * len(x)
-        rates, root_cap = sweep(x, 1.0)
-        if root_cap >= rho:
-            return rates
-        # repair: inflate the proposal along its ray until the root cap
-        # reaches the pin (the cap is nondecreasing in the scale)
-        t_hi = 2.0
-        while sweep(x, t_hi)[1] < rho:
-            t_hi *= 2.0
-            if t_hi > 2.0 ** 60:
-                return None  # support of the ray cannot reach the pin
-        t = brentq(lambda s: sweep(x, s)[1] - rho, 1.0, t_hi,
-                   xtol=1e-13, rtol=1e-13, maxiter=300)
-        return sweep(x, t)[0]
-
-    def objective(x):
-        rates = project(x)
-        if rates is None:
-            return math.inf
-        return sum(delta * ev.bound(plan, rates) for delta, plan in plans)
-
-    _, best_f = multi_start(
-        objective,
-        len(coords),
-        list(range(len(coords))),
-        starts=starts,
-        seed=seed,
-        sweeps=FREE_SWEEPS,
-        golden_iters=FREE_GOLDEN_ITERS,
-        tol=FREE_TOL,
-    )
-    return best_f
+    rates, value, iterations, converged, subsets = ev.convex(w, rho)
+    return OuterSolution(value, dict(zip(tree.nodes(), rates[1:])), iterations, converged, subsets)
 
 
 @dataclass
@@ -686,24 +510,21 @@ def matchup_verify(
 
     The two computations share nothing beyond the weight-ordering convention;
     agreement within combined optimizer tolerance is the machine check that
-    the region's inner and outer descriptions coincide. Later weight vectors
-    reuse the previous optimum as a warm start with a reduced start budget.
+    the region's inner and outer descriptions coincide. ``starts``,
+    ``sweeps`` and ``seed`` budget the inner search; later weight vectors
+    reuse its previous optimum as a warm start with WARM_STARTS starts.
     """
     report = MatchupReport(d, tol)
     ictx = ChannelContext(tree)
     ev = _OuterEval(tree)
-    warm_in = warm_out = None
+    warm = None
     for idx, wv in enumerate(weight_vectors):
-        budget = starts if idx == 0 else WARM_STARTS
         isol = min_weighted_sum(
-            tree, wv, d, starts=budget, sweeps=sweeps,
-            seed=seed + idx, warm=warm_in, _ctx=ictx,
+            tree, wv, d, starts=starts if idx == 0 else WARM_STARTS, sweeps=sweeps,
+            seed=seed + idx, warm=warm, _ctx=ictx,
         )
-        osol = rd_out_min_weighted(
-            tree, wv, d, starts=budget, sweeps=sweeps,
-            seed=seed + idx, warm=warm_out, _ev=ev,
-        )
-        warm_in, warm_out = isol.alpha, osol.theta
+        osol = rd_out_min_weighted(tree, wv, d, _ev=ev)
+        warm = isol.alpha
         report.rows.append(
             (tuple(float(v) for v in wv), isol.value, osol.value, isol.value - osol.value)
         )

@@ -23,13 +23,12 @@ from gmtree import (
     max_root_rate,
     min_weighted_sum,
     rd_out_min_weighted,
-    rd_out_min_weighted_free,
     rd_out_subset_bound,
     reroot,
     telescope_f,
     weight_order,
 )
-from gmtree.outer import PIN_STEPS, _OuterEval, solve_method
+from gmtree.outer import _OuterEval
 from conftest import random_binary_tree, small_tree  # noqa: F401
 
 
@@ -147,9 +146,10 @@ def _ref_telescope(tree, node, kept, r, only):
 
 
 def _ref_subset_bound(tree, r, A):
+    # zero-noise nodes carry q, not a rate, and are no rows
     comp = set(range(1, tree.leaf_count + 1)) - A
     return sum(r[n] - _ref_telescope(tree, n, comp, r, True)
-               for n in tree.nodes() if _leaves_of(tree, n) & A)
+               for n in tree.nodes() if _leaves_of(tree, n) & A and tree.noise_var.get(n) != 0.0)
 
 
 def _all_subsets(m):
@@ -181,15 +181,25 @@ def test_subset_bounds_and_telescopes_match_recursive_reference():
                     assert abs(telescope_f(tree, node, A, r, mode) - want) <= 1e-14
 
 
-@st.composite
-def identity_cases(draw):
-    """A tree of depth 2-4 without zero-noise edges, a channel and weights."""
-    L = draw(st.integers(2, 4))
+def _draw_edges(draw, L):
+    """alpha and noise of a depth-L tree; about one edge in four is a
+    zero-noise edge with alpha in [1e-3, 1]."""
     alpha, noise = {}, {}
     for k in range(2, L + 1):
         for i in range(1, 2 ** (k - 1) + 1):
-            alpha[(k, i)] = draw(st.floats(0.2, 0.95))
-            noise[(k, i)] = draw(st.floats(0.05, 1.0))
+            if draw(st.integers(0, 3)) == 0:
+                alpha[(k, i)], noise[(k, i)] = draw(st.floats(1e-3, 1.0)), 0.0
+            else:
+                alpha[(k, i)] = draw(st.floats(0.2, 0.95))
+                noise[(k, i)] = draw(st.floats(0.05, 1.0))
+    return alpha, noise
+
+
+@st.composite
+def identity_cases(draw):
+    """A tree of depth 2-4 with zero-noise edges, a channel and weights."""
+    L = draw(st.integers(2, 4))
+    alpha, noise = _draw_edges(draw, L)
     tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise)
     m = tree.leaf_count
     a = [draw(st.floats(0.05, 0.95)) for _ in range(m)]
@@ -212,82 +222,22 @@ def test_equality_rates_meet_the_chain_vertex_exactly(case):
         prev = w[s - 1]
     assert abs(total - ChannelContext(tree).chain_value(a, perm, w)) <= 1e-12
     for leaf, ai in zip(tree.leaves(), a):
-        var = tree.var(leaf)
-        want = 0.5 * math.log((ai * ai * tree.noise_var[leaf] + (1 - ai * ai) * var)
-                              / ((1 - ai * ai) * var))
+        var, noise = tree.var(leaf), tree.noise_var[leaf]
+        if noise == 0.0:  # a zero-noise leaf's slot holds q
+            want = tree.alpha[leaf] ** 2 * ai * ai / ((1 - ai * ai) * var)
+        else:
+            want = 0.5 * math.log((ai * ai * noise + (1 - ai * ai) * var) / ((1 - ai * ai) * var))
         assert abs(r[leaf] - want) <= 1e-12
 
 
-@st.composite
-def pin_cases(draw):
-    """A tree of depth 1-4 with copy edges (alpha 1, noise 0) and padding
-    leaves, a direction over its real leaves with largest entry 1 (as the
-    solver scales it) and a root rate below the direction's supremum."""
-    L = draw(st.integers(1, 4))
-    alpha, noise = {}, {}
-    for k in range(2, L + 1):
-        for i in range(1, 2 ** (k - 1) + 1):
-            if draw(st.integers(0, 3)) == 0:
-                alpha[(k, i)], noise[(k, i)] = 1.0, 0.0
-            else:
-                alpha[(k, i)] = draw(st.floats(0.2, 0.95))
-                noise[(k, i)] = draw(st.floats(0.05, 1.0))
-    m = 2 ** (L - 1)
-    padding = draw(st.sets(st.integers(1, m), max_size=m - 1))
-    tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise, padding)
-    real = [i for i in range(1, m + 1) if i not in padding]
-    u = [0.0] * m
-    for i in real:
-        u[i - 1] = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
-    u[draw(st.sampled_from(real)) - 1] = 1.0
-    sup = _OuterEval(tree).compose([math.inf if v > 0 else 0.0 for v in u])[1]
-    frac = draw(st.floats(0.01, 0.99))
-    return tree, u, frac * (sup if math.isfinite(sup) else 4.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(pin_cases())
-@example((BinaryTreeSource(1, 1.3, {}, {}), [1.0], 0.7))  # the root is the leaf
-def test_root_pin_rises_monotonically_to_rho(case):
-    tree, u, rho = case
-    ev = _OuterEval(tree)
-    ray, seen = ev.ray, []
-
-    def traced(t, u):
-        r, slope = ray(t, u)
-        seen.append(r[1])
-        return r, slope
-
-    ev.ray = traced
-    t, r, steps = ev.pin(u, rho)
-    # Newton from the left never overshoots in exact arithmetic; in floats
-    # the last step inherits the previous pass's rounding of the root rate
-    # and adds its own (up to 5 ulp together in 40000 examples at depth 4)
-    ulp = math.ulp(rho)
-    assert steps < PIN_STEPS
-    assert len(seen) == steps + 1 and all(v <= rho + 8 * ulp for v in seen)
-    assert rho - 2 * ulp <= r[1] <= rho + 8 * ulp
-    assert r == ev.compose([t * v for v in u])  # the arithmetic of f, bit for bit
-    lo = ev.compose([t * (1 - 1e-9) * v for v in u])[1]
-    hi = ev.compose([t * (1 + 1e-9) * v for v in u])[1]
-    assert lo < rho < hi
-    # r is concave in t, so its tangent lies between the secants either side
-    h = 1e-4 * t
-    slope = ray(t, u)[1]
-    left = (r[1] - ev.compose([(t - h) * v for v in u])[1]) / h
-    right = (ev.compose([(t + h) * v for v in u])[1] - r[1]) / h
-    slack = 16 * ulp / h + 1e-9 * slope
-    assert right - slack <= slope <= left + slack
-
-
 def test_pinned_root_meets_the_distortion_on_a_padded_tree():
-    # figure_tree reduced at x1: copy-edge coefficients near 1e9 amplify any
-    # miss of the root pin; a pin with a tolerance in t left the root off rho
-    # by up to 3.3e-6 nats here, and outside the feasible set at 0.8
+    # figure_tree reduced at x1 has zero-noise copy edges and padding; the
+    # program's rates meet the root bound and every cap
     tree, _ = binarize(reroot(load_model(fixture_path("figure_tree")), "x1"))
     for frac in (0.2, 0.5, 0.8):
         d = _feasible_d(tree, frac)
-        sol = rd_out_min_weighted(tree, [1.0] * tree.leaf_count, d, starts=2, sweeps=4)
+        sol = rd_out_min_weighted(tree, [1.0] * tree.leaf_count, d)
+        assert sol.converged
         assert abs(sol.rates[(1, 1)] - 0.5 * math.log(tree.root_var / d)) <= 1e-12
         assert frd_contains(tree, sol.rates, d)
 
@@ -309,7 +259,7 @@ def test_outer_value_single_helper_is_root_pin():
     t = BinaryTreeSource(2, 1.0, {(2, 1): 0.9, (2, 2): 1.0},
                          {(2, 1): 0.19, (2, 2): 0.0}, {2})
     d = 0.6
-    sol = rd_out_min_weighted(t, [1.0, 0.0], d, starts=6)
+    sol = rd_out_min_weighted(t, [1.0, 0.0], d)
     # weight only on the single real encoder: bound equals its ancestor chain
     assert sol.value > 0
     assert abs(sol.rates[(1, 1)] - 0.5 * math.log(1.0 / d)) < 1e-9
@@ -323,22 +273,21 @@ def test_outer_never_exceeds_inner():
         rng = np.random.default_rng(trial)
         w = list(rng.uniform(0.2, 1.0, t.leaf_count))
         iv = min_weighted_sum(t, w, d, starts=10).value
-        sol = rd_out_min_weighted(t, w, d, starts=10)
+        sol = rd_out_min_weighted(t, w, d)
         assert sol.value <= iv + 1e-8
         assert frd_contains(t, sol.rates, d)
         assert abs(sol.rates[(1, 1)] - 0.5 * math.log(t.root_var / d)) <= 1e-12
 
 
-def test_a_pinned_value_above_the_program_goes_to_the_search(small_tree):
-    # weight 0 on encoder 1: the program's optimum (0) sits off the equality
-    # manifold, and its pinned leaf direction is worth 0.06 nats against an
-    # inner value of 1e-9, so the search runs instead
+def test_a_zero_weight_encoder_is_known(small_tree):
+    # weight 0 on encoder 1: its rate is free, so its leaf is held at +inf;
+    # a direction pinned to the root rate was worth 0.06 nats here against an
+    # inner value of 1e-9
     d, w = 0.5, [0.0, 1.0]
-    sol = rd_out_min_weighted(small_tree, w, d, starts=8)
-    assert sol.method == "search"
-    assert sol.value <= min_weighted_sum(small_tree, w, d, starts=8).value + 1e-4
+    sol = rd_out_min_weighted(small_tree, w, d)
+    assert sol.rates[(2, 1)] == math.inf
+    assert sol.value <= min_weighted_sum(small_tree, w, d, starts=8).value + 1e-8
     assert frd_contains(small_tree, sol.rates, d)
-    assert rd_out_min_weighted(small_tree, w[::-1], d, starts=8).method == "convex"
 
 
 def test_outer_guards(small_tree):
@@ -356,35 +305,55 @@ def test_outer_refuses_non_finite_numbers(small_tree, bad):
     r = {n: 0.0 for n in small_tree.nodes()}
     for call in (
         lambda: rd_out_min_weighted(small_tree, [1.0, 1.0], bad),
-        lambda: rd_out_min_weighted_free(small_tree, [1.0, 1.0], bad),
         lambda: frd_contains(small_tree, r, bad),
     ):
         with pytest.raises(ModelError) as err:
             call()
         assert err.value.code == "bad-number"
-    for solve in (rd_out_min_weighted, rd_out_min_weighted_free):
-        with pytest.raises(ModelError) as err:
-            solve(small_tree, [bad, 1.0], 0.5)
-        assert err.value.code == "bad-weights"
+    with pytest.raises(ModelError) as err:
+        rd_out_min_weighted(small_tree, [bad, 1.0], 0.5)
+    assert err.value.code == "bad-weights"
+
+
+def _recovered_channel(tree, rates):
+    """The test channel whose equality rates are ``rates`` on the leaves:
+    a^2 = (e^(2r) - 1) V / (N + (e^(2r) - 1) V) at a noisy leaf, and
+    a^2 = q V / (alpha^2 + q V) at a zero-noise leaf (its slot holds q)."""
+    a = []
+    for leaf in tree.leaves():
+        v, noise, x = tree.var(leaf), tree.noise_var[leaf], rates[leaf]
+        if x == math.inf:
+            a.append(1.0)
+        elif noise == 0.0:
+            a.append(math.sqrt(x * v / (tree.alpha[leaf] ** 2 + x * v)))
+        else:
+            e = math.expm1(2.0 * x) * v
+            a.append(math.sqrt(e / (noise + e)))
+    return a
+
+
+def _assert_achieved(tree, w, d, sol):
+    # the program's value is the chain value of the channel recovered from
+    # its leaf rates, and that channel meets d: the converse is achieved
+    a = _recovered_channel(tree, sol.rates)
+    ctx = ChannelContext(tree)
+    assert abs(ctx.chain_value(a, weight_order(w), w) - sol.value) <= 1e-9 * abs(sol.value)
+    assert abs(ctx.distortion(a) - d) <= 1e-9
 
 
 def test_outer_free_parameterization_agrees(small_tree):
-    # both optimizers approximate the same minimum from above, so the audit
-    # checks a two-sided band at combined search tolerance
+    # the program ranges over all feasible rates, not a manifold of them,
+    # and its optimum is an achievable point
     d = 0.45
     w = [1.0, 0.8]
-    restricted = rd_out_min_weighted(small_tree, w, d, starts=12).value
-    free = rd_out_min_weighted_free(small_tree, w, d, starts=12)
-    assert abs(free - restricted) <= 2e-3
+    _assert_achieved(small_tree, w, d, rd_out_min_weighted(small_tree, w, d))
 
 
 def test_outer_free_parameterization_agrees_deeper():
     t = random_binary_tree(3, 123)
     d = _feasible_d(t, 0.5)
     w = [1.0, 0.6, 0.9, 0.3]
-    restricted = rd_out_min_weighted(t, w, d, starts=12).value
-    free = rd_out_min_weighted_free(t, w, d, starts=10)
-    assert abs(free - restricted) <= 5e-3
+    _assert_achieved(t, w, d, rd_out_min_weighted(t, w, d))
 
 
 def test_outer_free_validates_weights():
@@ -392,11 +361,37 @@ def test_outer_free_validates_weights():
     d = _feasible_d(t, 0.5)
     for w in ([1.0, 0.6], [1.0, 0.6, 0.9, 0.3, 0.5, 0.2]):
         with pytest.raises(ModelError) as err:
-            rd_out_min_weighted_free(t, w, d, starts=2)
+            rd_out_min_weighted(t, w, d)
         assert err.value.code == "bad-weights"
     with pytest.raises(DomainError) as err:
-        rd_out_min_weighted_free(t, [1.0, -0.6, 0.9, 0.3], d, starts=2)
+        rd_out_min_weighted(t, [1.0, -0.6, 0.9, 0.3], d)
     assert err.value.code == "bad-weights"
+
+
+# bench ``reduced`` seed 0 model 7: three real leaves (1 a zero-noise copy of
+# node (3, 1)) and five padding leaves; an outer value of 0.179652 was seen
+# here against the inner value 0.168394
+REDUCED_SEED0_MODEL7 = BinaryTreeSource(
+    4, 0.6977193322304428,
+    {(2, 1): 1.0151329348700284, (2, 2): 1.0, (3, 1): 0.5461788327684456,
+     (3, 2): 0.8340003376261892, (3, 3): 1.0, (3, 4): 1.0, (4, 1): 1.0,
+     (4, 2): 0.6167122051516034, (4, 3): 0.8116259320307055, (4, 4): 1.0,
+     (4, 5): 1.0, (4, 6): 1.0, (4, 7): 1.0, (4, 8): 1.0},
+    {(2, 1): 0.19588776262414875, (2, 2): 0.0, (3, 1): 0.5256883297915991,
+     (3, 2): 0.6576708735182665, (3, 3): 0.0, (3, 4): 0.0, (4, 1): 0.0,
+     (4, 2): 0.29851998074948455, (4, 3): 0.3346415551992863, (4, 4): 0.0,
+     (4, 5): 0.0, (4, 6): 0.0, (4, 7): 0.0, (4, 8): 0.0},
+    {4, 5, 6, 7, 8},
+)
+
+
+def test_outer_stays_below_inner_on_a_reduced_copy_edge_tree():
+    tree, d = REDUCED_SEED0_MODEL7, 0.641158464585543
+    w = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    sol = rd_out_min_weighted(tree, w, d)
+    assert sol.value <= min_weighted_sum(tree, w, d).value + 1e-8
+    assert frd_contains(tree, sol.rates, d)
+    assert abs(sol.rates[(1, 1)] - 0.5 * math.log(tree.root_var / d)) <= 1e-12
 
 
 def test_zero_noise_child_is_perturbed_not_fatal():
@@ -405,9 +400,19 @@ def test_zero_noise_child_is_perturbed_not_fatal():
     v = f_node(t, (1, 1), 0.5, 0.5)
     assert math.isfinite(v) and v > 0
     d = 0.5
-    sol = rd_out_min_weighted(t, [1.0, 1.0], d, starts=8)
+    sol = rd_out_min_weighted(t, [1.0, 1.0], d)
     iv = min_weighted_sum(t, [1.0, 1.0], d, starts=8).value
-    assert sol.value <= iv + 1e-4
+    assert sol.value <= iv + 1e-8
+
+
+def test_a_zero_noise_leaf_with_alpha_0_carries_nothing():
+    # x_1 is the constant 0: its q is held at 0 rather than left free, so
+    # the value is that of the tree with leaf 1 as padding
+    alpha, noise = {(2, 1): 0.0, (2, 2): 0.7}, {(2, 1): 0.0, (2, 2): 0.51}
+    got = rd_out_min_weighted(BinaryTreeSource(2, 1.0, alpha, noise), [1.0, 1.0], 0.8)
+    want = rd_out_min_weighted(BinaryTreeSource(2, 1.0, alpha, noise, {1}), [0.0, 1.0], 0.8)
+    assert got.rates[(2, 1)] == 0.0
+    assert abs(got.value - want.value) <= 1e-9 * want.value
 
 
 def test_matchup_report_fields(small_tree):
@@ -421,14 +426,10 @@ def test_matchup_report_fields(small_tree):
 
 @st.composite
 def jacobian_cases(draw):
-    """A tree of depth 1-4 with padding leaves and no zero noise, and rates
-    on its internal nodes and real leaves (padding leaves at 0)."""
+    """A tree of depth 1-4 with padding leaves and zero-noise edges, and
+    slots on its internal nodes and real leaves (padding leaves at 0)."""
     L = draw(st.integers(1, 4))
-    alpha, noise = {}, {}
-    for k in range(2, L + 1):
-        for i in range(1, 2 ** (k - 1) + 1):
-            alpha[(k, i)] = draw(st.floats(0.2, 0.95))
-            noise[(k, i)] = draw(st.floats(0.05, 1.0))
+    alpha, noise = _draw_edges(draw, L)
     m = 2 ** (L - 1)
     padding = draw(st.sets(st.integers(1, m), max_size=m - 1))
     tree = BinaryTreeSource(L, draw(st.floats(0.5, 2.0)), alpha, noise, padding)
@@ -453,7 +454,6 @@ def test_bound_and_cap_jacobians_match_central_differences(case):
     # the convex program's jacobians: every subset bound of the real leaves
     # and every internal cap, in every rate the program moves
     tree, r = case
-    assert solve_method(tree) == "convex"
     ev = _OuterEval(tree)
     m = ev.m
     moved = list(range(1, m)) + [m + i - 1 for i in ev.real]
@@ -465,7 +465,7 @@ def test_bound_and_cap_jacobians_match_central_differences(case):
             want = _central(lambda v: ev.bound(plan, v), r, n)
             assert abs(grad[n] - want) <= 1e-7 * (1 + abs(want))
     for n in range(1, m):
-        value, d1, d2 = ev.cap_grad(n, r)
+        value, d1, d2 = ev.cap(n, r[2 * n], r[2 * n + 1])
         assert value == ev.f(n, r[2 * n], r[2 * n + 1])
         for child, d in ((2 * n, d1), (2 * n + 1, d2)):
             if child in moved:
