@@ -1,9 +1,10 @@
 """Seeded multi-start coordinate descent with golden-section line search.
 
-Both bound optimizers search a box [0,1]^m of direction coordinates with a
-scalar feasibility repair folded into the objective, so a tiny derivative-free
-loop is all that is needed. Objectives may return math.inf for infeasible
-points; determinism is guaranteed by the explicit seed.
+The inner bound's search (``inner.min_weighted_sum`` and ``region_slice``)
+runs over a box [0,1]^m of direction coordinates with a scalar feasibility
+repair folded into the objective, so a tiny derivative-free loop is all that
+is needed. Objectives may return math.inf for infeasible points; determinism
+is guaranteed by the explicit seed.
 
 An objective must be a pure function of x: ``multi_start`` evaluates each
 distinct point once per call and answers repeats (a line search re-run after
@@ -21,6 +22,8 @@ __all__ = ["golden_min", "coordinate_descent", "multi_start"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_ITERS = 18  # golden-section steps per line search
+SWEEPS = 60  # most sweeps of one coordinate descent
+TOL = 1e-8  # a descent stops after a sweep that gains no more than this
 
 
 def golden_min(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS):
@@ -53,7 +56,7 @@ def golden_min(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS):
     return best, fbest
 
 
-def coordinate_descent(fn, x0, coords, *, sweeps=60, golden_iters=GOLDEN_ITERS, tol=1e-8):
+def coordinate_descent(fn, x0, coords, *, sweeps=SWEEPS, golden_iters=GOLDEN_ITERS, tol=TOL):
     """Cyclic per-coordinate golden-section descent of fn over [0,1]^m."""
     x = list(map(float, x0))
     fx = fn(x)
@@ -83,9 +86,9 @@ def multi_start(
     *,
     starts=16,
     seed=0,
-    sweeps=60,
+    sweeps=SWEEPS,
     golden_iters=GOLDEN_ITERS,
-    tol=1e-8,
+    tol=TOL,
     extra_starts=(),
 ):
     """Best coordinate_descent result over deterministic + seeded random starts.
@@ -99,13 +102,10 @@ def multi_start(
     ``tuple(x)``, so each distinct point is evaluated once per call and a
     repeat gets the very float the evaluation returned: the search path and
     the result are those of the memo-free loop. Nothing outlives the call.
-    ``starts`` and ``sweeps`` below 1 are refused (``bad-budget``).
+    ``starts`` below 1 is refused (``bad-budget``).
     """
-    if starts < 1 or sweeps < 1:
-        raise ModelError(
-            f"search budget must be positive, not starts={starts!r}, sweeps={sweeps!r}",
-            code="bad-budget",
-        )
+    if starts < 1:
+        raise ModelError(f"starts must be positive, not {starts!r}", code="bad-budget")
     seen = {}
 
     def once(x):

@@ -4,24 +4,21 @@ Subcommands read a model file (see modelio), run one library entry point,
 and emit JSON on stdout (CSV for the polyline/table commands, to --out or
 stdout). Exit status: 0 success, 1 domain error (infeasible distortion,
 non-embeddable input, ...), 2 malformed input or usage. Error payloads go to
-stderr as JSON with a machine-readable "code". Numeric knobs fall back to
-GMTREE_TOL / GMTREE_STARTS / GMTREE_ITERS / GMTREE_SEED before their
-built-in defaults; a variable is read only by a subcommand that has the
-option, so a bad value (exit 2, "bad-env") breaks no other subcommand.
-Rates are reported in nats and bits.
+stderr as JSON with a machine-readable "code". Each search budget has one
+source: its command-line flag, else the built-in default; the environment
+sets none of them. Rates are reported in nats and bits.
 """
 
 import argparse
 import json
 import logging
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import embedding, inner, lattice, modelio, outer, trees, worstcase
-from .errors import DomainError, GmtreeError, ModelError
+from .errors import GmtreeError, ModelError
 from .lattice import LatticePair
 
 __all__ = ["main", "build_parser"]
@@ -31,7 +28,7 @@ LN2 = math.log(2.0)
 
 
 def _positive_int(text) -> int:
-    """argparse type of the search budgets: --starts, --iters, --points and
+    """argparse type of the search budgets: --starts, --points and
     --weights-grid take an integer of at least 1."""
     try:
         value = int(text)
@@ -40,38 +37,6 @@ def _positive_int(text) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return value
-
-
-class _EnvDefault:
-    """The default of an option that GMTREE_<name> may override.
-
-    The variable is read once parsing has picked a subcommand, and only if
-    that subcommand has the option and the command line left it out, so a
-    bad value breaks no other subcommand.
-    """
-
-    def __init__(self, name: str, cast, fallback):
-        self.name, self.cast, self.fallback = name, cast, fallback
-
-    def resolve(self):
-        raw = os.environ.get("GMTREE_" + self.name)
-        if raw is None:
-            return self.fallback
-        try:
-            return self.cast(raw)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ModelError(f"bad GMTREE_{self.name} value {raw!r}", code="bad-env") from None
-
-
-class _Parser(argparse.ArgumentParser):
-    """Resolves every ``_EnvDefault`` left in the parsed namespace."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        ns, rest = super().parse_known_args(args, namespace)
-        for key, value in vars(ns).items():
-            if isinstance(value, _EnvDefault):
-                setattr(ns, key, value.resolve())
-        return ns, rest
 
 
 def _bits(x: float) -> float:
@@ -248,10 +213,7 @@ def cmd_reduce(args):
 def cmd_inner(args):
     tree, leaf_map, obs = _load_binary(args.tree)
     w = _expand_weights(args.weights, tree, leaf_map, obs)
-    sol = inner.min_weighted_sum(
-        tree, w, args.distortion,
-        starts=args.starts, sweeps=args.iters, tol=args.tol, seed=args.seed,
-    )
+    sol = inner.min_weighted_sum(tree, w, args.distortion, starts=args.starts, seed=args.seed)
     payload = {
         "value_nats": float(sol.value),
         "value_bits": _bits(float(sol.value)),
@@ -298,7 +260,7 @@ def cmd_verify_matchup(args):
         vectors.append([float(v) for v in rng.uniform(0.1, 1.0, m)])
     report = outer.matchup_verify(
         tree, args.distortion, vectors,
-        tol=args.gap_tol, starts=args.starts, sweeps=args.iters, seed=args.seed,
+        tol=args.gap_tol, starts=args.starts, seed=args.seed,
     )
     payload = {
         "distortion": args.distortion,
@@ -425,25 +387,19 @@ def cmd_worst_case(args):
 # parser
 
 
-def _add_solver_opts(p, starts_default=16, tol=True, iters=True):
-    """--starts and --seed, plus --tol and --iters where the solver reads them."""
-    if tol:
-        p.add_argument("--tol", type=float, default=_EnvDefault("TOL", float, 1e-8))
-    p.add_argument("--starts", type=_positive_int,
-                   default=_EnvDefault("STARTS", _positive_int, starts_default))
-    if iters:
-        p.add_argument("--iters", type=_positive_int,
-                       default=_EnvDefault("ITERS", _positive_int, 60))
-    p.add_argument("--seed", type=int, default=_EnvDefault("SEED", int, 0))
+def _add_solver_opts(p, starts_default=16):
+    """--starts and --seed: the inner search's multi-start budget and its seed."""
+    p.add_argument("--starts", type=_positive_int, default=starts_default)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_mc_opts(p, samples_default):
     p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--seed", type=int, default=_EnvDefault("SEED", int, 0))
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="gmtree",
         description="Rate-distortion tools for Gauss-Markov tree sources.",
     )
@@ -480,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--distortion", type=float, required=True)
     p.add_argument("--weights-grid", type=_positive_int, default=8)
     p.add_argument("--gap-tol", type=float, default=5e-3)
-    _add_solver_opts(p, tol=False)
+    _add_solver_opts(p)
     p.set_defaults(func=cmd_verify_matchup)
 
     p = sub.add_parser("region-slice", help="two-encoder boundary polyline as CSV")
@@ -489,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--points", type=_positive_int, default=17)
     p.add_argument("--out")
-    _add_solver_opts(p, starts_default=8, tol=False, iters=False)
+    _add_solver_opts(p, starts_default=8)
     p.set_defaults(func=cmd_region_slice)
 
     p = sub.add_parser("lattice", help="Monte Carlo distortion of the modular-difference code")
@@ -533,8 +489,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ModelError as e:
         return _fail(e, 2)
-    except DomainError as e:
-        return _fail(e, 1)
     except GmtreeError as e:
         return _fail(e, 1)
 

@@ -88,6 +88,24 @@ def _as_index_list(idx, n: int, name: str) -> list[int]:
     return out
 
 
+def _llse(K, targets, observers, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(W, err) of the linear least-squares estimate of ``targets`` from
+    ``observers``, which the caller's messages call ``name``."""
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    t = _as_index_list(targets, n, "targets")
+    o = _as_index_list(observers, n, name)
+    if set(t) & set(o):
+        raise ValueError(f"targets and {name} must be disjoint")
+    if not o:
+        return np.zeros((len(t), 0)), K[np.ix_(t, t)].copy()
+    Koo = K[np.ix_(o, o)]
+    Kto = K[np.ix_(t, o)]
+    W = Kto @ np.linalg.pinv(Koo, rcond=DEGENERATE_RTOL, hermitian=True)
+    err = K[np.ix_(t, t)] - W @ Kto.T
+    return W, 0.5 * (err + err.T)
+
+
 def conditional_cov(K, targets, given) -> np.ndarray:
     """Covariance of ``targets`` after an exact observation of ``given``.
 
@@ -96,20 +114,7 @@ def conditional_cov(K, targets, given) -> np.ndarray:
     is inverted through a pseudo-inverse, so redundant (exactly correlated)
     observations are harmless.
     """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    t = _as_index_list(targets, n, "targets")
-    g = _as_index_list(given, n, "given")
-    if set(t) & set(g):
-        raise ValueError("targets and given must be disjoint")
-    Ktt = K[np.ix_(t, t)]
-    if not g:
-        return Ktt.copy()
-    Kgg = K[np.ix_(g, g)]
-    Ktg = K[np.ix_(t, g)]
-    Kgg_pinv = np.linalg.pinv(Kgg, rcond=DEGENERATE_RTOL, hermitian=True)
-    S = Ktt - Ktg @ Kgg_pinv @ Ktg.T
-    return 0.5 * (S + S.T)
+    return _llse(K, targets, given, "given")[1]
 
 
 def llse_coefficients(K, targets, observers) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +123,7 @@ def llse_coefficients(K, targets, observers) -> tuple[np.ndarray, np.ndarray]:
     Returns (W, err) where the estimate is x_t ~= W @ x_o and err is the
     error covariance (same value conditional_cov would report).
     """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    t = _as_index_list(targets, n, "targets")
-    o = _as_index_list(observers, n, "observers")
-    if set(t) & set(o):
-        raise ValueError("targets and observers must be disjoint")
-    if not o:
-        return np.zeros((len(t), 0)), K[np.ix_(t, t)].copy()
-    Koo = K[np.ix_(o, o)]
-    Kto = K[np.ix_(t, o)]
-    W = Kto @ np.linalg.pinv(Koo, rcond=DEGENERATE_RTOL, hermitian=True)
-    err = K[np.ix_(t, t)] - W @ Kto.T
-    return W, 0.5 * (err + err.T)
+    return _llse(K, targets, observers, "observers")
 
 
 def mmse(K, target: int, observers) -> float:

@@ -225,7 +225,7 @@ def vertex_rates(f: RankFunction, perm: Sequence[int]) -> np.ndarray:
 _NEWTON_CAP = 50  # repair iterations; from s = 1 they converge quadratically
 _NEWTON_STEP_RTOL = 1e-12  # a step that moves s by less than this is the last
 # region_slice's search budget per supporting weight, lighter than the
-# min_weighted_sum defaults
+# _search SWEEPS, GOLDEN_ITERS and TOL that min_weighted_sum runs with
 SLICE_SWEEPS = 40
 SLICE_GOLDEN_ITERS = 14
 SLICE_TOL = 1e-7
@@ -330,24 +330,28 @@ class ChannelContext:
         """Var(u_i | u of the encoders after i in perm), by 0-based leaf.
 
         One Cholesky of U in reversed-perm order gives every suffix at once.
-        None when U is not positive definite.
+        When U is singular (a noiseless copy) the Gaussian oracle gives each
+        variance instead, 0 where u_i is fixed by the u's after it: the chain
+        step of such an encoder, I(x_i; u_i | u after i), is 0.
         """
         order = [e - 1 for e in reversed(perm) if alpha[e - 1] > 0.0]
         piv = _pivots(self._u(alpha, order))
-        return None if piv is None else dict(zip(order, piv))
+        if piv is None:
+            U = np.asarray(self._u(alpha, order))
+            piv = [gauss.mmse(U, j, range(j)) for j in range(len(order))]
+            piv = [v if v > gauss.DEGENERATE_RTOL * U[j, j] else 0.0 for j, v in enumerate(piv)]
+        return dict(zip(order, piv))
 
     def chain_value(self, alpha, perm, weights) -> float:
         """Weighted sum rate at the chain vertex of ``perm`` (may be +inf)."""
         cond = self._chain_pivots(alpha, perm)
-        if cond is None:
-            return math.inf
         val = 0.0
         for enc in perm:
             w = weights[enc - 1]
             if w <= 0.0:
                 break  # descending order: every later weight is zero too
             a = alpha[enc - 1]
-            if a <= 0.0:
+            if a <= 0.0 or cond[enc - 1] == 0.0:
                 continue
             noise = (1.0 - a * a) * self.leaf_var[enc - 1]
             if noise <= 0.0:
@@ -359,13 +363,13 @@ class ChannelContext:
         """All vertex increments for ``perm`` (math.inf on degenerate steps)."""
         cond = self._chain_pivots(alpha, perm)
         rates = np.zeros(self.m)
-        dead = cond is None
+        dead = False
         for enc in perm:
             a = alpha[enc - 1]
             if dead:
                 rates[enc - 1] = math.inf
                 continue
-            if a <= 0.0:
+            if a <= 0.0 or cond[enc - 1] == 0.0:
                 continue
             noise = (1.0 - a * a) * self.leaf_var[enc - 1]
             if noise <= 0.0:
@@ -505,8 +509,6 @@ def min_weighted_sum(
     d: float,
     *,
     starts: int = 16,
-    sweeps: int = 60,
-    tol: float = 1e-8,
     seed: int = 0,
     warm=None,
     _ctx: ChannelContext | None = None,
@@ -517,7 +519,9 @@ def min_weighted_sum(
     alpha), so the search runs over direction vectors, each scaled onto the
     boundary by ``ChannelContext.repair``; the rate vector is the chain
     vertex of the descending-weight permutation. Multi-start coordinate
-    descent; results are deterministic for a fixed seed.
+    descent with ``starts`` starts drawn from ``seed`` (the sweep cap and
+    stopping tolerance are ``_search``'s SWEEPS and TOL); results are
+    deterministic for a fixed seed. ``warm``, a direction, joins the starts.
     """
     ctx = _ctx if _ctx is not None else ChannelContext(tree)
     m = ctx.m
@@ -530,10 +534,7 @@ def min_weighted_sum(
         warm = list(map(float, warm))
         if len(warm) == m and max(warm) > 0:
             extra.append(warm)
-    found = _chain_search(
-        ctx, d, perm, w, {},
-        starts=starts, seed=seed, sweeps=sweeps, tol=tol, extra_starts=extra,
-    )
+    found = _chain_search(ctx, d, perm, w, {}, starts=starts, seed=seed, extra_starts=extra)
     if found is None:
         raise DomainError(
             "no feasible channel found for the requested distortion",

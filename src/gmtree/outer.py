@@ -503,16 +503,16 @@ def matchup_verify(
     *,
     tol: float = 2e-3,
     starts: int = 16,
-    sweeps: int = 60,
     seed: int = 0,
 ) -> MatchupReport:
     """Run both bound optimizers per weight vector and report the gaps.
 
     The two computations share nothing beyond the weight-ordering convention;
     agreement within combined optimizer tolerance is the machine check that
-    the region's inner and outer descriptions coincide. ``starts``,
-    ``sweeps`` and ``seed`` budget the inner search; later weight vectors
-    reuse its previous optimum as a warm start with WARM_STARTS starts.
+    the region's inner and outer descriptions coincide. ``starts`` and
+    ``seed`` budget the inner search of the first weight vector; later ones
+    reuse the previous optimum as a warm start with WARM_STARTS starts and
+    seed + their index. ``tol`` is the largest gap that passes.
     """
     report = MatchupReport(d, tol)
     ictx = ChannelContext(tree)
@@ -520,7 +520,7 @@ def matchup_verify(
     warm = None
     for idx, wv in enumerate(weight_vectors):
         isol = min_weighted_sum(
-            tree, wv, d, starts=starts if idx == 0 else WARM_STARTS, sweeps=sweeps,
+            tree, wv, d, starts=starts if idx == 0 else WARM_STARTS,
             seed=seed + idx, warm=warm, _ctx=ictx,
         )
         osol = rd_out_min_weighted(tree, wv, d, _ev=ev)

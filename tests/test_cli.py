@@ -12,10 +12,7 @@ PKG = [sys.executable, "-m", "gmtree"]
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("GMTREE_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+    env = {**os.environ, **(env_extra or {})}
     return subprocess.run(PKG + list(args), capture_output=True, text=True, env=env)
 
 
@@ -335,17 +332,24 @@ def test_seed_determinism_and_env_override():
                 "--starts", "4", "--seed", "9")
     b = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",
                 "--starts", "4", "--seed", "9")
+    assert a.returncode == 0
     assert a.stdout == b.stdout
-    c = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",
-                "--starts", "4", env_extra={"GMTREE_SEED": "9"})
-    assert c.stdout == a.stdout
-    bad = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",
-                  env_extra={"GMTREE_SEED": "not-an-int"})
-    assert bad.returncode == 2
+
+
+@pytest.mark.parametrize("cmd", ["inner", "outer", "verify-matchup", "region-slice"])
+@pytest.mark.parametrize("flag", ["--tol", "--iters"])
+def test_removed_search_flags_are_usage_errors(cmd, flag):
+    args = [cmd, "--tree", fixture_path("figure_tree"), "-d", "0.6", flag, "5"]
+    if cmd == "region-slice":
+        args += ["--pair", "x1,x2"]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("cmd, flag", [
-    ("inner", "--iters"), ("inner", "--starts"),
+    ("inner", "--starts"),
     ("verify-matchup", "--weights-grid"), ("region-slice", "--points"),
 ])
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -359,40 +363,19 @@ def test_non_positive_search_budget_is_input_error(cmd, flag, value):
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("name", ["ITERS", "STARTS"])
-def test_non_positive_budget_default_is_input_error(name):
-    r = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.6",
-                env_extra={"GMTREE_" + name: "0"})
-    assert r.returncode == 2
-    assert json.loads(r.stderr)["code"] == "bad-env"
-
-
 LATTICE_ARGS = ["lattice", "--sigma2", "10", "-n", "8", "-m", "4", "--samples", "1000"]
 SLICE_ARGS = ["region-slice", "--tree", fixture_path("figure_tree"), "-d", "0.5",
               "--pair", "x1,x2", "--points", "3", "--starts", "1"]
+INNER_ARGS = ["inner", "--tree", fixture_path("figure_tree"), "-d", "0.5"]
 
 
 @pytest.mark.parametrize("argv, env", [
     (LATTICE_ARGS, {"GMTREE_STARTS": "0", "GMTREE_ITERS": "0", "GMTREE_TOL": "abc"}),
     (SLICE_ARGS, {"GMTREE_TOL": "abc", "GMTREE_ITERS": "0"}),
+    (INNER_ARGS, {"GMTREE_SEED": "9", "GMTREE_STARTS": "0", "GMTREE_TOL": "abc"}),
 ])
 def test_bad_env_default_of_an_absent_option_is_ignored(argv, env):
-    # lattice has no --starts, --iters or --tol; region-slice has no --tol or --iters
+    # no option reads the environment: GMTREE_* values, good or bad, change nothing
     r = run_cli(*argv, env_extra=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout == run_cli(*argv).stdout
-
-
-@pytest.mark.parametrize("argv, env, name", [
-    (LATTICE_ARGS, {"GMTREE_STARTS": "0", "GMTREE_SEED": "x"}, "GMTREE_SEED"),
-    ([a for a in SLICE_ARGS if a not in ("--starts", "1")],
-     {"GMTREE_TOL": "abc", "GMTREE_STARTS": "0"}, "GMTREE_STARTS"),
-])
-def test_bad_env_default_of_a_present_option_is_refused(argv, env, name):
-    # the subcommand's own option is refused, and only that one is named
-    r = run_cli(*argv, env_extra=env)
-    assert r.returncode == 2
-    err = json.loads(r.stderr)
-    assert err["code"] == "bad-env"
-    assert name in err["error"] and all(k not in err["error"] for k in env if k != name)
-    assert r.stdout == ""
