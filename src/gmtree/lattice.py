@@ -11,16 +11,22 @@ the same distortion. The former is constant in sigma2. The latter has the
 closed form 1/2 log1p((1 - rho^2 + 2a) / a^2) at a = d / (2 sigma2 (1 - d))
 (``separation_min_sum_rate``) and grows like 1/2 log sigma2, without bound.
 
-Monte Carlo work is sharded; every shard derives its own seed and the merge
-is an order-independent sum reduction.
+Monte Carlo work is cut into shards of ``SHARD_SIZE`` draws, each with its
+own spawned seed, so the streams are fixed by the seed and ``SHARD_SIZE``,
+not by the thread count. The shards of one call run on worker threads and
+work in place on a few buffers each; their partial sums are merged with
+exact (``math.fsum``) or integer sums, so the estimates do not depend on how
+many threads ran them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from ._shards import map_shards
 from .errors import DomainError, ModelError
 
 __all__ = [
@@ -63,25 +69,43 @@ class LatticePair:
 
 
 def _fine(x, n: int):
-    # round half toward +inf, fixed tie rule
-    return np.floor(x * 2.0**n + 0.5) * 2.0 ** (-n)
+    """Round the array x to the fine lattice 2^(-n) Z in place and return it.
+
+    Half-steps round toward +inf, a fixed tie rule.
+    """
+    x *= 2.0**n
+    x += 0.5
+    np.floor(x, out=x)
+    x *= 2.0 ** (-n)
+    return x
 
 
-def _mod_cell(v, m: int):
-    half = 2.0 ** (m - 1)
-    return np.mod(v + half, 2.0**m) - half
+def _mod_cell(v, m: int, tmp):
+    """Reduce the array v into [-2^(m-1), 2^(m-1)) in place and return it.
+
+    v - 2^m floor((v + 2^(m-1)) / 2^m), with ``tmp`` as scratch of v's shape.
+    Every step is exact on fine-lattice points, so there it equals
+    np.mod(v + 2^(m-1), 2^m) - 2^(m-1) bit for bit.
+    """
+    k = np.add(v, 2.0 ** (m - 1), out=tmp)
+    k *= 2.0 ** (-m)
+    np.floor(k, out=k)
+    k *= 2.0**m
+    v -= k
+    return v
 
 
 def lattice_encode(x: float, lp: LatticePair) -> float:
     """Fine-lattice point of x reduced into [-2^(m-1), 2^(m-1))."""
     if not math.isfinite(x):
         raise DomainError("sample must be finite", code="bad-sample")
-    return float(_mod_cell(_fine(x, lp.n), lp.m))
+    v = np.array([x], dtype=float)
+    return float(_mod_cell(_fine(v, lp.n), lp.m, np.empty(1))[0])
 
 
 def lattice_decode(u1: float, u2: float, lp: LatticePair) -> float:
     """Modular difference of the two messages, same cell and tie rule."""
-    return float(_mod_cell(u1 - u2, lp.m))
+    return float(_mod_cell(np.array([u1 - u2], dtype=float), lp.m, np.empty(1))[0])
 
 
 def lattice_sum_rate(lp: LatticePair) -> float:
@@ -109,22 +133,29 @@ def _rho(sigma2: float) -> float:
     return 1.0 - 1.0 / (2.0 * sigma2)
 
 
-def _shards(samples: int, seed: int):
-    if samples < 1:
-        raise ModelError("need at least one sample", code="bad-samples")
-    sizes = [SHARD_SIZE] * (samples // SHARD_SIZE)
-    if samples % SHARD_SIZE:
-        sizes.append(samples % SHARD_SIZE)
-    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        yield size, np.random.default_rng(ss)
-
-
 def _draw_pair(rng, size: int, sigma2: float):
-    # x1 = a z0 + z1/2, x2 = a z0 - z1/2: variance sigma2, difference exactly z1
-    a = math.sqrt(sigma2 - 0.25)
-    z0 = rng.standard_normal(size)
+    """x1, x2, z1 and a free scratch array of the same size.
+
+    x1 = a z0 + z1/2, x2 = a z0 - z1/2: variance sigma2, difference exactly z1.
+    """
+    x2 = rng.standard_normal(size)
+    x2 *= math.sqrt(sigma2 - 0.25)
     z1 = rng.standard_normal(size)
-    return a * z0 + 0.5 * z1, a * z0 - 0.5 * z1, z1
+    tmp = np.multiply(z1, 0.5)
+    x1 = x2 + tmp
+    x2 -= tmp
+    return x1, x2, z1, tmp
+
+
+def _mc_shard(rng, size: int, sigma2: float, lp: LatticePair):
+    x1, x2, x3, tmp = _draw_pair(rng, size, sigma2)
+    u1 = _mod_cell(_fine(x1, lp.n), lp.m, tmp)
+    u2 = _mod_cell(_fine(x2, lp.n), lp.m, tmp)
+    u1 -= u2
+    err = np.subtract(x3, _mod_cell(u1, lp.m, tmp), out=u1)
+    err *= err
+    sq = np.multiply(err, err, out=u2)
+    return float(err.sum()), float(sq.sum())
 
 
 def lattice_mc_distortion(
@@ -132,18 +163,18 @@ def lattice_mc_distortion(
 ) -> McEstimate:
     """Empirical MSE of the modular-difference reconstruction of x1 - x2."""
     _rho(sigma2)
-    tot = []
-    tot2 = []
-    for size, rng in _shards(samples, seed):
-        x1, x2, x3 = _draw_pair(rng, size, sigma2)
-        u1 = _mod_cell(_fine(x1, lp.n), lp.m)
-        u2 = _mod_cell(_fine(x2, lp.n), lp.m)
-        err = (x3 - _mod_cell(u1 - u2, lp.m)) ** 2
-        tot.append(float(err.sum()))
-        tot2.append(float((err * err).sum()))
-    mean = math.fsum(tot) / samples
-    var = max(math.fsum(tot2) / samples - mean * mean, 0.0)
+    parts = map_shards(partial(_mc_shard, sigma2=sigma2, lp=lp), samples, SHARD_SIZE, seed)
+    mean = math.fsum(p[0] for p in parts) / samples
+    var = max(math.fsum(p[1] for p in parts) / samples - mean * mean, 0.0)
     return McEstimate(mean, math.sqrt(var / samples), samples)
+
+
+def _tail_shard(rng, size: int, sigma2: float, lp: LatticePair) -> int:
+    x1, x2, _, _ = _draw_pair(rng, size, sigma2)
+    diff = _fine(x1, lp.n)
+    diff -= _fine(x2, lp.n)
+    np.abs(diff, out=diff)
+    return int(np.count_nonzero(diff >= 2.0 ** (lp.m - 1)))
 
 
 def lattice_tail_prob(
@@ -151,13 +182,8 @@ def lattice_tail_prob(
 ) -> McEstimate:
     """Empirical frequency of the wrap event |fine(x1) - fine(x2)| >= 2^(m-1)."""
     _rho(sigma2)
-    half = 2.0 ** (lp.m - 1)
-    hits = []
-    for size, rng in _shards(samples, seed):
-        x1, x2, _ = _draw_pair(rng, size, sigma2)
-        diff = _fine(x1, lp.n) - _fine(x2, lp.n)
-        hits.append(int(np.count_nonzero(np.abs(diff) >= half)))
-    p = math.fsum(hits) / samples
+    hits = map_shards(partial(_tail_shard, sigma2=sigma2, lp=lp), samples, SHARD_SIZE, seed)
+    p = sum(hits) / samples
     return McEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / samples), samples)
 
 

@@ -6,13 +6,24 @@ unchanged, to samples of an alternate source with the same tree covariance
 mean-square error must then agree with the Gaussian MMSE, because linear
 estimation only sees second moments. ``llse_equivalence_check`` runs that
 comparison as a Monte Carlo experiment.
+
+The draws are cut into shards of ``SHARD_SIZE`` samples, each with its own
+spawned seed, so the streams are fixed by the seed and ``SHARD_SIZE``, not by
+the thread count. The shards of one call run on worker threads and reuse a
+few buffers each; their partial sums are merged in shard order, so the
+report does not depend on how many threads ran them. A callable innovation
+sampler may therefore run on several threads at once, each call with its own
+generator.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from statistics import NormalDist
 
 import numpy as np
 
+from ._shards import map_shards
 from .errors import DomainError, ModelError
 from .gauss import llse_coefficients
 from .inner import build_joint, _check_alpha
@@ -97,9 +108,44 @@ def _sample_states(tree: BinaryTreeSource, innov, rng, size: int) -> list:
         val = tree.heap_alpha[n] * x[n // 2]
         nv = tree.heap_noise[n]
         if nv > 0.0:
-            val = val + math.sqrt(nv) * innov(rng, size)
+            val += math.sqrt(nv) * innov(rng, size)
         x.append(val)
     return x
+
+
+def _llse_shard(rng, size: int, tree, innov, heap, a, chan_sd, w):
+    """Error sums and node-moment sums of one shard.
+
+    Returns (sum e, sum e^2, [(sum p, sum p^2) for each moment]) with e the
+    squared estimation error of the root and p the product of two of the
+    root and leaf states, the moments in row order of the upper triangle.
+    """
+    states = _sample_states(tree, innov, rng, size)
+    vecs = [states[n] for n in heap]
+    resid = None  # becomes sum_i w_i u_i, u_i = a_i leaf_i + channel noise
+    for i, leaf in enumerate(vecs[1:]):
+        u = rng.standard_normal(size)
+        u *= chan_sd[i]
+        u += a[i] * leaf
+        u *= w[i]
+        if resid is None:
+            resid = u
+        else:
+            resid += u
+    np.subtract(vecs[0], resid, out=resid)
+    resid *= resid
+    err = float(resid.sum())
+    resid *= resid
+    err_sq = float(resid.sum())
+    prod = np.empty(size, np.result_type(*vecs))
+    moments = []
+    for r in range(len(vecs)):
+        for c in range(r, len(vecs)):
+            np.multiply(vecs[r], vecs[c], out=prod)
+            total = float(prod.sum())
+            prod *= prod
+            moments.append((total, float(prod.sum())))
+    return err, err_sq, moments
 
 
 def llse_equivalence_check(
@@ -118,8 +164,11 @@ def llse_equivalence_check(
     quantization noises stay Gaussian) and pushed through the identical
     coefficients. Agreement within 3 standard errors is a pass. With
     ``validate_sampler`` the leaf and root second moments are themselves
-    checked first, so a miscalibrated sampler raises instead of producing a
-    misleading failure.
+    checked, so a miscalibrated sampler raises instead of producing a
+    misleading failure: the k = nm(nm+1)/2 moments of the root and the nm - 1
+    leaves form one family-wise test at the level of a single 3-SE test
+    (Bonferroni, each moment against z_(1 - 0.00135/k)). ``cov_max_dev``
+    reports the largest deviation itself.
     """
     if not isinstance(samples, int) or samples <= 0:
         raise ModelError("samples must be a positive integer", code="bad-samples")
@@ -142,47 +191,30 @@ def llse_equivalence_check(
     K = np.asarray(joint.matrix)[np.ix_(mom_idx, mom_idx)]
     nm = len(mom_idx)
 
-    err_sum, err_sq = [], []
-    mom_sum = np.zeros((nm, nm))
-    mom_sq = np.zeros((nm, nm))
-    done = 0
-    seq = np.random.SeedSequence(seed)
-    while done < samples:
-        size = min(SHARD_SIZE, samples - done)
-        rng = np.random.default_rng(seq.spawn(1)[0])
-        states = _sample_states(tree, innov, rng, size)
-        vecs = [states[n] for n in heap]
-        leaves = vecs[1:]
-        u = [
-            a[i] * leaves[i] + chan_sd[i] * rng.standard_normal(size)
-            for i in range(m)
-        ]
-        resid = vecs[0] - sum(w[i] * u[i] for i in range(m))
-        e = resid * resid
-        err_sum.append(float(e.sum()))
-        err_sq.append(float((e * e).sum()))
-        for r in range(nm):
-            for c in range(r, nm):
-                prod = vecs[r] * vecs[c]
-                mom_sum[r, c] += float(prod.sum())
-                mom_sq[r, c] += float((prod * prod).sum())
-        done += size
-
-    mse = math.fsum(err_sum) / samples
-    var = max(math.fsum(err_sq) / samples - mse * mse, 0.0)
+    parts = map_shards(
+        partial(_llse_shard, tree=tree, innov=innov, heap=heap, a=a, chan_sd=chan_sd, w=w),
+        samples, SHARD_SIZE, seed)
+    mse = math.fsum(p[0] for p in parts) / samples
+    var = max(math.fsum(p[1] for p in parts) / samples - mse * mse, 0.0)
     se = math.sqrt(var / samples)
 
+    pairs = [(r, c) for r in range(nm) for c in range(r, nm)]
+    mom = np.zeros((len(pairs), 2))  # per moment: sum of products, of their squares
+    for _, _, moments in parts:
+        mom += moments
     dev = 0.0
-    for r in range(nm):
-        for c in range(r, nm):
-            mean = mom_sum[r, c] / samples
-            mvar = max(mom_sq[r, c] / samples - mean * mean, 0.0)
-            mse_se = math.sqrt(mvar / samples)
-            if mse_se > 0.0:
-                dev = max(dev, abs(mean - K[r, c]) / mse_se)
-            elif abs(mean - K[r, c]) > 1e-12:
-                dev = math.inf
-    if validate_sampler and dev > 3.0:
+    for (r, c), (total, sq) in zip(pairs, mom):
+        mean = total / samples
+        mvar = max(sq / samples - mean * mean, 0.0)
+        mse_se = math.sqrt(mvar / samples)
+        if mse_se > 0.0:
+            dev = max(dev, abs(mean - K[r, c]) / mse_se)
+        elif abs(mean - K[r, c]) > 1e-12:
+            dev = math.inf
+    # a 3-SE test on each of the k moments raises on a correct sampler up to k
+    # times as often as one test; Bonferroni keeps the family at one test's level
+    limit = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-3.0) / len(pairs))
+    if validate_sampler and dev > limit:
         raise DomainError(
             f"alternate sampler covariance is off by {dev:.1f} standard errors",
             code="sampler-mismatch",

@@ -327,7 +327,7 @@ def test_worst_case_cli():
     assert abs(out["gap"]) <= 3 * out["se"]
 
 
-def test_seed_determinism_and_env_override():
+def test_seed_determinism():
     a = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",
                 "--starts", "4", "--seed", "9")
     b = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",

@@ -18,6 +18,7 @@ from gmtree import (
     lattice_tail_prob,
     separation_min_sum_rate,
 )
+from gmtree import _shards
 from gmtree.lattice import _fine, _mod_cell, _sep_distortion, _sep_rate, _sep_terms
 
 
@@ -60,7 +61,7 @@ def test_fine_quantizer_error_radius():
     rng = np.random.default_rng(11)
     for n in (0, 2, 5):
         xs = rng.normal(0, 3, 100_000)
-        err = np.abs(xs - _fine(xs, n))
+        err = np.abs(xs - _fine(xs.copy(), n))
         assert float(err.max()) <= 2.0 ** (-(n + 1)) + 1e-15
 
 
@@ -75,7 +76,7 @@ def test_decode_recovers_quantized_difference_without_wrap():
     hits = 0
     for _ in range(3000):
         x1, x2 = rng.normal(0, 1.2, 2)
-        f1, f2 = float(_fine(x1, lp.n)), float(_fine(x2, lp.n))
+        f1, f2 = (float(f) for f in _fine(np.array([x1, x2]), lp.n))
         if abs(f1 - f2) >= 2.0 ** (lp.m - 1):
             continue
         hits += 1
@@ -88,7 +89,7 @@ def test_decode_recovers_quantized_difference_without_wrap():
 def test_mod_cell_window():
     lp_m = 2
     vs = np.linspace(-9, 9, 2001)
-    out = _mod_cell(vs, lp_m)
+    out = _mod_cell(vs.copy(), lp_m, np.empty_like(vs))
     assert np.all(out >= -2.0) and np.all(out < 2.0)
     # congruence: difference is a multiple of the period
     k = (vs - out) / 4.0
@@ -111,6 +112,82 @@ def test_mc_shard_merge_is_size_consistent():
     small = lattice_mc_distortion(1e4, lp, samples=200_000, seed=5)
     big = lattice_mc_distortion(1e4, lp, samples=1_200_000, seed=5)
     assert abs(small.value - big.value) <= 4 * (small.se + big.se)
+
+
+def _ref_shards(samples, seed, shard_size=1_000_000):
+    sizes = [shard_size] * (samples // shard_size)
+    if samples % shard_size:
+        sizes.append(samples % shard_size)
+    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        yield size, np.random.default_rng(ss)
+
+
+def _ref_fine(x, n):
+    return np.floor(x * 2.0**n + 0.5) * 2.0 ** (-n)
+
+
+def _ref_mod_cell(v, m):
+    half = 2.0 ** (m - 1)
+    return np.mod(v + half, 2.0**m) - half
+
+
+def _ref_draw_pair(rng, size, sigma2):
+    a = math.sqrt(sigma2 - 0.25)
+    z0 = rng.standard_normal(size)
+    z1 = rng.standard_normal(size)
+    return a * z0 + 0.5 * z1, a * z0 - 0.5 * z1, z1
+
+
+def _ref_mc(sigma2, lp, samples, seed):
+    # serial, out-of-place estimator: fresh arrays and np.mod cells
+    tot, tot2 = [], []
+    for size, rng in _ref_shards(samples, seed):
+        x1, x2, x3 = _ref_draw_pair(rng, size, sigma2)
+        u1 = _ref_mod_cell(_ref_fine(x1, lp.n), lp.m)
+        u2 = _ref_mod_cell(_ref_fine(x2, lp.n), lp.m)
+        err = (x3 - _ref_mod_cell(u1 - u2, lp.m)) ** 2
+        tot.append(float(err.sum()))
+        tot2.append(float((err * err).sum()))
+    mean = math.fsum(tot) / samples
+    var = max(math.fsum(tot2) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def _ref_tail(sigma2, lp, samples, seed):
+    hits = []
+    for size, rng in _ref_shards(samples, seed):
+        x1, x2, _ = _ref_draw_pair(rng, size, sigma2)
+        diff = _ref_fine(x1, lp.n) - _ref_fine(x2, lp.n)
+        hits.append(int(np.count_nonzero(np.abs(diff) >= 2.0 ** (lp.m - 1))))
+    p = math.fsum(hits) / samples
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_estimates_equal_the_serial_out_of_place_reference(monkeypatch, cpus):
+    # 2.5M samples: two full shards and a half one, run on 1 or on 4 threads
+    monkeypatch.setattr(_shards, "_cpus", lambda: cpus)
+    for sigma2, lp, seed in ((1e4, LatticePair(8, 4), 3), (1e2, LatticePair(3, 2), 4)):
+        got = lattice_mc_distortion(sigma2, lp, samples=2_500_000, seed=seed)
+        assert (got.value, got.se) == _ref_mc(sigma2, lp, 2_500_000, seed)
+    for lp, seed in ((LatticePair(8, 2), 5), (LatticePair(6, 3), 6)):
+        got = lattice_tail_prob(100.0, lp, samples=2_500_000, seed=seed)
+        assert (got.value, got.se) == _ref_tail(100.0, lp, 2_500_000, seed)
+    # one partial shard runs inline
+    got = lattice_mc_distortion(1e6, LatticePair(8, 4), samples=300_000, seed=8)
+    assert (got.value, got.se) == _ref_mc(1e6, LatticePair(8, 4), 300_000, 8)
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (0, 3), (3, 1), (8, 4), (5, 6)])
+def test_floor_cell_equals_mod_cell_on_the_fine_lattice(n, m):
+    # every fine-lattice point of [-3 * 2^m, 3 * 2^m], so the cell edges
+    # +-2^(m-1), their neighbours and negatives are all on the grid
+    k = np.arange(-3 * 2 ** (m + n), 3 * 2 ** (m + n) + 1)
+    v = k * 2.0 ** (-n)
+    assert np.any(v == -(2.0 ** (m - 1))) and np.any(v == 2.0 ** (m - 1))
+    got = _mod_cell(v.copy(), m, np.empty_like(v))
+    want = _ref_mod_cell(v, m)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # sign of 0 too
 
 
 def test_mc_n0_rounding_error():
