@@ -9,6 +9,7 @@ results come back in shard order, so a caller that merges them in that order
 gets the same bits at any thread count.
 """
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,11 +30,15 @@ def map_shards(fn, samples: int, shard_size: int, seed: int) -> list:
 
     ``fn`` runs on worker threads when there is more than one shard, on at
     most one thread per CPU this process may use; it must touch no shared
-    mutable state.
+    mutable state. ``samples`` must be an integer >= 1 (``bad-samples``).
     """
-    if samples < 1:
-        raise ModelError("need at least one sample", code="bad-samples")
-    full, rest = divmod(samples, shard_size)
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ModelError(f"samples must be an integer >= 1, not {samples!r}", code="bad-samples")
+    full, rest = divmod(count, shard_size)
     sizes = [shard_size] * full + ([rest] if rest else [])
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(sizes))]
     workers = min(len(sizes), _cpus())

@@ -482,7 +482,6 @@ def _fail(exc: GmtreeError, status: int) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

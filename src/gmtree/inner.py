@@ -268,6 +268,16 @@ def _secular(lam, c2, s: float):
     return h, dh
 
 
+def _copies_root(tree: BinaryTreeSource, n: int) -> bool:
+    """Whether heap node n is a nonzero multiple of the root: every edge
+    above it has zero noise and a nonzero coefficient."""
+    while n > 1:
+        if tree.heap_noise[n] != 0.0 or tree.heap_alpha[n] == 0.0:
+            return False
+        n //= 2
+    return True
+
+
 class ChannelContext:
     """Precomputed second moments of one tree for fast channel evaluation.
 
@@ -288,8 +298,10 @@ class ChannelContext:
         self.root_var = float(K[0, 0])
         self.padding = frozenset(i - 1 for i in tree.padding)
         self.real = [i for i in range(m) if i not in self.padding]
-        if m == 1:
-            self.d_floor = 0.0  # the root is observed directly
+        if m == 1 or any(_copies_root(tree, m + i) for i in self.real):
+            # the root is observed directly or through copy edges: exactly 0,
+            # where the MMSE below would leave a rounding residue
+            self.d_floor = 0.0
         else:
             self.d_floor = gauss.mmse(K, 0, [idx[i] for i in self.real])
         # whitened leaves for the repair: correlations less the identity, and

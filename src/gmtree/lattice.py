@@ -125,7 +125,13 @@ class McEstimate(NamedTuple):
     samples: int
 
 
+def _finite(x: float, what: str) -> None:
+    if not math.isfinite(x):
+        raise ModelError(f"{what} must be a finite number, not {x!r}", code="bad-number")
+
+
 def _rho(sigma2: float) -> float:
+    _finite(sigma2, "sigma2")
     if sigma2 <= 0.5:
         raise DomainError(
             "sigma2 must exceed 1/2 for the coupled correlation", code="sigma2-out-of-range"
@@ -227,6 +233,7 @@ def separation_min_sum_rate(sigma2: float, d: float, *, seed: int = 0) -> float:
     pass one keep working.
     """
     _, one_m_rho2 = _sep_terms(sigma2)
+    _finite(d, "distortion")
     if d <= 0.0:
         raise DomainError("distortion must be positive", code="infeasible-distortion")
     if d >= 1.0:
@@ -282,6 +289,7 @@ def divergence_report(
     grid = [float(s) for s in sigma2_grid]
     if not grid:
         raise ModelError("sigma2 grid is empty", code="bad-grid")
+    _finite(d, "distortion")
     bound = lattice_analytic_bound(lp)
     if bound > d:
         raise DomainError(

@@ -6,15 +6,17 @@ Two representations live here:
   x_child = alpha * x_parent + noise, with a designated observation set.
   The order of the ``nodes`` tuple is meaningful: it is the covariance label
   order and, within a shared parent, the child order used by ``binarize``.
+  Its topology (parents, children, breadth-first order) is found once, when
+  the tree is validated, and kept on the tree.
 * ``BinaryTreeSource``: a complete binary tree of depth L whose 2^(L-1)
   level-L leaves are the encoder observations, named (level, position) at
   the API and held in the one heap layout that its docstring states.
 
 ``reroot`` re-hangs a tree at a new node by refitting parameters from the
 covariance (numerically robust, and exact for exact inputs up to float
-arithmetic), and ``binarize`` pads/pushes observations down to distinct
-leaves of a minimal-depth complete binary tree using almost-surely-identical
-copy edges (alpha 1, noise 0).
+arithmetic), and ``binarize`` pushes observations down to distinct leaves
+of a minimal-depth complete binary tree in one walk; copy edges (alpha 1,
+noise 0) fill every node the walk leaves.
 """
 
 import math
@@ -61,68 +63,67 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class MarkovTree:
-    """Rooted Gauss-Markov tree; the root row's alpha/noise_var are ignored."""
+    """Rooted Gauss-Markov tree; the root row's alpha/noise_var are ignored.
+
+    Validation walks the tree once and keeps what it finds: ``parent`` maps
+    each id to its parent id (None at the root), ``kids`` maps each id to its
+    child nodes in node order, and ``order`` holds the nodes breadth first
+    from the root, children in node order.
+    """
 
     nodes: tuple[TreeNode, ...]
     root_var: float
     observations: frozenset = frozenset()
+    parent: dict = field(init=False, repr=False, compare=False)
+    kids: dict = field(init=False, repr=False, compare=False)
+    order: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "observations", frozenset(self.observations))
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        parent = {n.id: n.parent for n in self.nodes}
+        if len(parent) != len(self.nodes):
             raise ModelError("duplicate node ids", code="duplicate-node")
-        roots = [n.id for n in self.nodes if n.parent is None]
+        roots = [n for n in self.nodes if n.parent is None]
         if len(roots) != 1:
             raise ModelError(
                 f"tree must have exactly one root, found {len(roots)}",
                 code="bad-root",
             )
-        idset = set(ids)
+        kids: dict[str, list[TreeNode]] = {v: [] for v in parent}
         for n in self.nodes:
-            if n.parent is not None and n.parent not in idset:
+            if n.parent is not None and n.parent not in parent:
                 raise ModelError(f"unknown parent {n.parent!r}", code="bad-parent")
             _check_param(n.alpha, f"alpha at {n.id!r}")
             _check_param(n.noise_var, f"noise variance at {n.id!r}", variance=True)
+            if n.parent is not None:
+                kids[n.parent].append(n)
         _check_param(self.root_var, "root variance", variance=True)
-        missing = self.observations - idset
+        missing = self.observations - parent.keys()
         if missing:
             raise ModelError(
                 f"observations not in tree: {sorted(missing)}", code="bad-observation"
             )
+        order = roots
+        for nd in order:  # grows as it goes: breadth first from the root
+            order.extend(kids[nd.id])
         # reachability doubles as the acyclicity check
-        if len(self._bfs_order()) != len(self.nodes):
+        if len(order) != len(self.nodes):
             raise ModelError("tree is not connected/acyclic", code="bad-topology")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "kids", {v: tuple(c) for v, c in kids.items()})
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def root(self) -> str:
-        return next(n.id for n in self.nodes if n.parent is None)
+        return self.order[0].id
 
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    def node(self, node_id: str) -> TreeNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def children(self, node_id: str) -> list[str]:
-        return [n.id for n in self.nodes if n.parent == node_id]
-
-    def _bfs_order(self) -> list[str]:
-        kids: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None and n.parent in kids:
-                kids[n.parent].append(n.id)
-        order, queue = [], [self.root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            queue.extend(kids[v])
-        return order
+        return [c.id for c in self.kids.get(node_id, ())]
 
 
 def tree_to_cov(tree: MarkovTree) -> Cov:
@@ -131,13 +132,11 @@ def tree_to_cov(tree: MarkovTree) -> Cov:
     pos = {v: i for i, v in enumerate(ids)}
     n = len(ids)
     K = np.zeros((n, n))
-    by_id = {nd.id: nd for nd in tree.nodes}
-    for v in tree._bfs_order():
-        i = pos[v]
-        if v == tree.root:
+    for nd in tree.order:
+        i = pos[nd.id]
+        if nd.parent is None:
             K[i, i] = tree.root_var
             continue
-        nd = by_id[v]
         p = pos[nd.parent]
         row = nd.alpha * K[p, :]
         K[i, :] = row
@@ -252,15 +251,13 @@ def sample_tree(tree: MarkovTree, count: int, seed: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     pos = {v: i for i, v in enumerate(tree.ids)}
-    by_id = {nd.id: nd for nd in tree.nodes}
     out = np.empty((count, len(tree.ids)))
-    for v in tree._bfs_order():
+    for nd in tree.order:
         z = rng.standard_normal(count)
-        if v == tree.root:
-            out[:, pos[v]] = math.sqrt(tree.root_var) * z
+        if nd.parent is None:
+            out[:, pos[nd.id]] = math.sqrt(tree.root_var) * z
         else:
-            nd = by_id[v]
-            out[:, pos[v]] = nd.alpha * out[:, pos[nd.parent]] + math.sqrt(nd.noise_var) * z
+            out[:, pos[nd.id]] = nd.alpha * out[:, pos[nd.parent]] + math.sqrt(nd.noise_var) * z
     return out
 
 
@@ -272,17 +269,10 @@ def reroot(tree: MarkovTree, new_root: str) -> MarkovTree:
     with each node's former children preceding its former parent, which is
     the child order downstream reduction steps rely on.
     """
-    ids = set(tree.ids)
-    if new_root not in ids:
+    if new_root not in tree.parent:
         raise ModelError(f"unknown node {new_root!r}", code="unknown-node")
     if new_root == tree.root:
         return tree
-
-    old_parent = {n.id: n.parent for n in tree.nodes}
-    old_kids: dict[str, list[str]] = {n.id: [] for n in tree.nodes}
-    for n in tree.nodes:
-        if n.parent is not None:
-            old_kids[n.parent].append(n.id)
 
     # Orient away from the new root; former children first, former parent last.
     new_parent: dict[str, str | None] = {new_root: None}
@@ -290,9 +280,9 @@ def reroot(tree: MarkovTree, new_root: str) -> MarkovTree:
 
     def visit(v: str):
         order.append(v)
-        nbrs = [u for u in old_kids[v] if u != new_parent[v]]
-        if old_parent[v] is not None and old_parent[v] != new_parent[v]:
-            nbrs.append(old_parent[v])
+        nbrs = [u.id for u in tree.kids[v] if u.id != new_parent[v]]
+        if tree.parent[v] is not None and tree.parent[v] != new_parent[v]:
+            nbrs.append(tree.parent[v])
         for u in nbrs:
             new_parent[u] = v
             visit(u)
@@ -427,25 +417,19 @@ def binary_cov(tree: BinaryTreeSource) -> Cov:
 
 _SELF = "self"
 _SPREAD = "spread"
-_PAD = "pad"
 
 
-def _slots(v: str, queue: tuple[str, ...], observed: bool):
-    """The two child slots under a binary node hosting original node v.
+def _slots(queue: tuple[TreeNode, ...], observed: bool):
+    """The child slots under a binary node hosting an original node v.
 
-    Each slot is (kind, payload): ('child', original id), ('self'/'pad',
-    copy of v continuing down), or ('spread', remaining queue) when v has
-    more pending children than fit. Observation chains take the left slot.
+    Each slot is (kind, payload): ('child', original node), ('self', None)
+    for the copy chain that carries v's own observation down, or ('spread',
+    remaining queue) when v has more pending children than fit. Observation
+    chains take the left slot. A slot not listed is left empty.
     """
-    load = (1 if observed else 0) + len(queue)
-    if load <= 2:
-        slots = []
-        if observed:
-            slots.append((_SELF, None))
-        slots.extend(("child", c) for c in queue)
-        while len(slots) < 2:
-            slots.append((_PAD, None))
-        return slots
+    if (1 if observed else 0) + len(queue) <= 2:
+        slots = [(_SELF, None)] if observed else []
+        return slots + [("child", c) for c in queue]
     if observed:
         return [(_SELF, None), (_SPREAD, queue)]
     h = (len(queue) + 1) // 2
@@ -457,9 +441,12 @@ def binarize(tree: MarkovTree, observations: Iterable[str] | None = None):
 
     The root must be the reconstruction target. Nodes not on a path between
     the root and an observation are dropped first (they cannot affect the
-    joint law of the remaining nodes). Observations end up at distinct
-    leaves via copy chains (alpha 1, noise 0); all other leaves are padding
-    with rates pinned to zero.
+    joint law of the remaining nodes). One walk lays the kept nodes out
+    from the root and returns the deepest level L it reaches; every binary
+    node it leaves empty is a copy edge (alpha 1, noise 0). An observation
+    whose copy chain starts at node (k, i) sits on the leftmost leaf below
+    it, position (i - 1) 2^(L - k) + 1; all other leaves are padding with
+    rates pinned to zero.
 
     Returns (BinaryTreeSource, leaf_map) where leaf_map sends each original
     observation id to its leaf position at level L.
@@ -467,70 +454,45 @@ def binarize(tree: MarkovTree, observations: Iterable[str] | None = None):
     obs = frozenset(tree.observations if observations is None else observations)
     if not obs:
         raise ModelError("binarize needs a nonempty observation set", code="bad-observation")
-    unknown = obs - set(tree.ids)
+    unknown = obs - tree.parent.keys()
     if unknown:
         raise ModelError(f"observations not in tree: {sorted(unknown)}", code="bad-observation")
 
-    root = tree.root
-    parent = {n.id: n.parent for n in tree.nodes}
-    keep = {root}
-    for o in obs:
-        v = o
-        while v is not None:
+    keep = {tree.root}
+    for v in obs:
+        while v not in keep:
             keep.add(v)
-            v = parent[v]
-    kids: dict[str, tuple[str, ...]] = {}
-    for v in tree.ids:
-        if v in keep:
-            kids[v] = tuple(c for c in tree.children(v) if c in keep)
-    by_id = {n.id: n for n in tree.nodes}
+            v = tree.parent[v]
+    kids = {v: tuple(c for c in tree.kids[v] if c.id in keep) for v in keep}
+    edges: dict[NodeId, TreeNode] = {}  # binary node -> original node on its edge
+    starts: dict[str, NodeId] = {}  # observation -> first node of its copy chain
 
-    def req(v: str, queue: tuple[str, ...], observed: bool) -> int:
+    def place(v: str, queue: tuple[TreeNode, ...], observed: bool, k: int, i: int) -> int:
         if not queue:
-            return 0
-        best = 0
-        for kind, payload in _slots(v, queue, observed):
-            if kind == "child":
-                depth = 1 + req(payload, kids[payload], payload in obs)
-            elif kind == _SPREAD:
-                depth = 1 + req(v, payload, False)
-            else:
-                depth = 1
-            best = max(best, depth)
-        return best
-
-    L = 1 + req(root, kids[root], root in obs)
-    if L == 1 and root not in obs:
-        raise ModelError("no observation reachable from the root", code="bad-observation")
-
-    alpha: dict[NodeId, float] = {}
-    noise: dict[NodeId, float] = {}
-    leaf_map: dict[str, int] = {}
-
-    def place(v: str, queue: tuple[str, ...], observed: bool, k: int, i: int):
-        if k == L:
-            assert not queue, "pending children left at leaf level"
             if observed:
-                leaf_map[v] = i
-            return
-        for s, (kind, payload) in enumerate(_slots(v, queue, observed)):
+                starts[v] = (k, i)
+            return k
+        deepest = k + 1
+        for s, (kind, payload) in enumerate(_slots(queue, observed)):
             key = (k + 1, 2 * i - 1 + s)
             if kind == "child":
-                nd = by_id[payload]
-                alpha[key], noise[key] = nd.alpha, nd.noise_var
-                place(payload, kids[payload], payload in obs, *key)
+                edges[key] = payload
+                deepest = max(deepest, place(payload.id, kids[payload.id], payload.id in obs, *key))
+            elif kind == _SPREAD:
+                deepest = max(deepest, place(v, payload, False, *key))
             else:
-                alpha[key], noise[key] = 1.0, 0.0
-                if kind == _SELF:
-                    place(v, (), True, *key)
-                elif kind == _SPREAD:
-                    place(v, payload, False, *key)
-                else:
-                    place(v, (), False, *key)
+                starts[v] = key
+        return deepest
 
-    place(root, kids[root], root in obs, 1, 1)
-
-    taken = set(leaf_map.values())
-    padding = frozenset(i for i in range(1, 2 ** (L - 1) + 1) if i not in taken)
+    root = tree.root
+    L = place(root, kids[root], root in obs, 1, 1)
+    alpha: dict[NodeId, float] = {}
+    noise: dict[NodeId, float] = {}
+    for k in range(2, L + 1):
+        for i in range(1, 2 ** (k - 1) + 1):
+            nd = edges.get((k, i))
+            alpha[k, i], noise[k, i] = (nd.alpha, nd.noise_var) if nd is not None else (1.0, 0.0)
+    leaf_map = {v: (i - 1) * 2 ** (L - k) + 1 for v, (k, i) in starts.items()}
+    padding = frozenset(range(1, 2 ** (L - 1) + 1)) - frozenset(leaf_map.values())
     src = BinaryTreeSource(L, tree.root_var, alpha, noise, padding)
     return src, leaf_map

@@ -154,24 +154,20 @@ def llse_equivalence_check(
     dist="uniform",
     samples: int = 1_000_000,
     seed: int = 0,
-    *,
-    validate_sampler: bool = True,
 ) -> LlseReport:
     """Check that the Gaussian-design linear estimator keeps its distortion.
 
     The estimator of the root from the quantized leaves is computed once from
     the Gaussian joint; samples are then drawn from the alternate source (the
     quantization noises stay Gaussian) and pushed through the identical
-    coefficients. Agreement within 3 standard errors is a pass. With
-    ``validate_sampler`` the leaf and root second moments are themselves
-    checked, so a miscalibrated sampler raises instead of producing a
-    misleading failure: the k = nm(nm+1)/2 moments of the root and the nm - 1
-    leaves form one family-wise test at the level of a single 3-SE test
-    (Bonferroni, each moment against z_(1 - 0.00135/k)). ``cov_max_dev``
-    reports the largest deviation itself.
+    coefficients. Agreement within 3 standard errors is a pass. The leaf and
+    root second moments are themselves checked, so a miscalibrated sampler
+    raises instead of producing a misleading failure: the k = nm(nm+1)/2
+    moments of the root and the nm - 1 leaves form one family-wise test at
+    the level of a single 3-SE test (Bonferroni, each moment against
+    z_(1 - 0.00135/k)). ``cov_max_dev`` reports the largest deviation
+    itself. ``samples`` must be an integer >= 1 (``bad-samples``).
     """
-    if not isinstance(samples, int) or samples <= 0:
-        raise ModelError("samples must be a positive integer", code="bad-samples")
     innov = alternate_sampler(dist)
     name = dist if isinstance(dist, str) else getattr(dist, "__name__", "custom")
     a = _check_alpha(tree, alpha)
@@ -214,7 +210,7 @@ def llse_equivalence_check(
     # a 3-SE test on each of the k moments raises on a correct sampler up to k
     # times as often as one test; Bonferroni keeps the family at one test's level
     limit = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-3.0) / len(pairs))
-    if validate_sampler and dev > limit:
+    if dev > limit:
         raise DomainError(
             f"alternate sampler covariance is off by {dev:.1f} standard errors",
             code="sampler-mismatch",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmtree import BinaryTreeSource
+from gmtree import BinaryTreeSource, MarkovTree, TreeNode
 
 
 def random_binary_tree(
@@ -20,6 +20,19 @@ def random_binary_tree(
             alpha[(k, i)] = float(rng.uniform(alpha_lo, alpha_hi))
             noise[(k, i)] = float(rng.uniform(noise_lo, noise_hi))
     return BinaryTreeSource(L, float(rng.uniform(0.5, 2.0)), alpha, noise)
+
+
+def random_general_tree(seed: int, n_obs: int) -> MarkovTree:
+    """Random Gauss-Markov tree on n_obs + 2 or n_obs + 3 nodes, root v0,
+    with n_obs observations drawn from all the nodes."""
+    rng = np.random.default_rng(seed)
+    n = n_obs + int(rng.integers(2, 4))
+    nodes = [TreeNode("v0", None)] + [
+        TreeNode(f"v{j}", f"v{int(rng.integers(0, j))}",
+                 float(rng.uniform(0.5, 0.95)), float(rng.uniform(0.1, 0.6)))
+        for j in range(1, n)]
+    obs = frozenset(f"v{k}" for k in rng.permutation(n)[:n_obs])
+    return MarkovTree(tuple(nodes), float(rng.uniform(0.5, 2.0)), obs)
 
 
 def random_psd(n: int, seed: int) -> np.ndarray:

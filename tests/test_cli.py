@@ -305,6 +305,38 @@ def test_lattice_rejects_small_sigma2():
     assert json.loads(r.stderr)["code"] == "sigma2-out-of-range"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--sigma2", "nan", "-n", "8", "-m", "4", "--samples", "1000"],
+    ["lattice", "--sigma2", "inf", "-n", "8", "-m", "4", "--samples", "1000"],
+    ["divergence", "--sigma2-grid", "10", "-d", "nan", "-n", "8", "-m", "4",
+     "--samples", "1000"],
+    ["divergence", "--sigma2-grid", "10,inf", "-d", "0.5", "-n", "8", "-m", "4",
+     "--samples", "1000"],
+])
+def test_non_finite_lattice_inputs_are_input_errors(argv):
+    # a NaN sigma2 used to exit 0 with "mse": NaN, which is not JSON
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["code"] == "bad-number"
+
+
+def test_main_leaves_the_host_logging_alone():
+    # in a fresh interpreter, so no test harness handler is on the root logger
+    code = (
+        "import logging, sys\n"
+        "from gmtree import cli\n"
+        "root = logging.getLogger()\n"
+        "before = (list(root.handlers), root.level)\n"
+        "status = cli.main(['lattice', '--sigma2', '10', '-n', '8', '-m', '4',\n"
+        "                   '--samples', '1000'])\n"
+        "assert status == 0\n"
+        "assert (list(root.handlers), root.level) == before, (root.handlers, root.level)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_divergence_csv_and_json(tmp_path):
     dest = tmp_path / "div.csv"
     r = run_cli("divergence", "--sigma2-grid", "10,1e3,1e6", "-d", "0.5",

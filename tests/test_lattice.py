@@ -206,6 +206,45 @@ def test_mc_rejects_bad_inputs():
         lattice_mc_distortion(10.0, LatticePair(4, 2), samples=0, seed=0)
 
 
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma2_is_refused(sigma2):
+    # NaN passes the `<= 1/2` range check; it used to give a 0.0 tail estimate
+    lp = LatticePair(8, 3)
+    for call in (
+        lambda: lattice_mc_distortion(sigma2, lp, samples=1000),
+        lambda: lattice_tail_prob(sigma2, lp, samples=1000),
+        lambda: separation_min_sum_rate(sigma2, 0.5),
+    ):
+        with pytest.raises(ModelError) as err:
+            call()
+        assert err.value.code == "bad-number"
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_non_finite_distortion_is_refused(d):
+    with pytest.raises(ModelError) as err:
+        separation_min_sum_rate(10.0, d)
+    assert err.value.code == "bad-number"
+    with pytest.raises(ModelError) as err:
+        divergence_report([10.0], d, LatticePair(8, 4), samples=1000)
+    assert err.value.code == "bad-number"
+
+
+@pytest.mark.parametrize("samples", [2.5, 1000.0, "1000", None, 0, -3])
+def test_sample_count_must_be_a_positive_integer(samples):
+    lp = LatticePair(8, 4)
+    for call in (lattice_mc_distortion, lattice_tail_prob):
+        with pytest.raises(ModelError) as err:
+            call(10.0, lp, samples=samples)
+        assert err.value.code == "bad-samples"
+
+
+def test_sample_count_accepts_integer_types():
+    lp = LatticePair(8, 4)
+    want = lattice_mc_distortion(10.0, lp, samples=3000, seed=4)
+    assert lattice_mc_distortion(10.0, lp, samples=np.int64(3000), seed=4) == want
+
+
 def test_analytic_bound_value_and_monotonicity():
     want = (2.0 ** -8 + math.sqrt(2 * 19 * math.exp(-32.0))) ** 2
     assert lattice_analytic_bound(LatticePair(8, 4)) == pytest.approx(want, rel=1e-15)

@@ -10,6 +10,7 @@ from gmtree import (
     BinaryTreeSource,
     ChannelContext,
     DomainError,
+    MarkovTree,
     ModelError,
     binarize,
     build_joint,
@@ -29,7 +30,7 @@ from gmtree import (
     weight_order,
 )
 from gmtree.outer import _OuterEval
-from conftest import random_binary_tree, small_tree  # noqa: F401
+from conftest import random_binary_tree, random_general_tree, small_tree  # noqa: F401
 
 
 def _feasible_d(tree, frac):
@@ -263,6 +264,44 @@ def test_outer_value_single_helper_is_root_pin():
     # weight only on the single real encoder: bound equals its ancestor chain
     assert sol.value > 0
     assert abs(sol.rates[(1, 1)] - 0.5 * math.log(1.0 / d)) < 1e-9
+
+
+def _reduced_trees():
+    """Every reroot of the figure tree with every observation subset, and
+    every reroot of seeded random general trees, through ``binarize``."""
+    models = []
+    fig = load_model(fixture_path("figure_tree"))
+    obs = sorted(fig.observations)
+    for k in range(1, len(obs) + 1):
+        models += [MarkovTree(fig.nodes, fig.root_var, sub)
+                   for sub in itertools.combinations(obs, k)]
+    models += [random_general_tree(seed, 1 + seed % 4) for seed in range(30)]
+    out = []
+    for model in models:
+        for v in model.ids:
+            try:
+                out.append(binarize(reroot(model, v))[0])
+            except DomainError:
+                continue  # rerooting at a zero-variance node is ill-posed
+    return out
+
+
+def test_root_rate_supremum_is_the_inner_distortion_floor():
+    # the outer guard (the composed caps' supremum) and the inner guard (the
+    # Gaussian MMSE from the real leaves) refuse the same distortions
+    trees = [random_binary_tree(L, s) for L in (2, 3, 4) for s in range(30)]
+    reduced = _reduced_trees()
+    assert sum(t.padding != frozenset() for t in reduced) > 100
+    infinite = 0
+    for t in trees + reduced:
+        floor, top = ChannelContext(t).d_floor, max_root_rate(t)
+        if floor == 0.0:
+            assert top == math.inf
+            infinite += 1
+        else:
+            want = 0.5 * math.log(t.root_var / floor)
+            assert abs(top - want) <= 1e-12 * abs(want)
+    assert infinite > 10  # observed roots, through copy edges
 
 
 def test_outer_never_exceeds_inner():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from gmtree import (
     TreeNode,
     binarize,
     binary_cov,
+    binary_to_obj,
     fit_tree_params,
     fixture_path,
     load_model,
@@ -20,7 +22,7 @@ from gmtree import (
     tree_to_cov,
     validate_markov,
 )
-from conftest import random_binary_tree, small_tree  # noqa: F401
+from conftest import random_binary_tree, random_general_tree, small_tree  # noqa: F401
 
 
 def chain3() -> MarkovTree:
@@ -264,3 +266,220 @@ def test_padding_leaves_are_copies():
     # padding leaf carries a copy channel
     assert bt.alpha[(2, 2)] == 1.0
     assert bt.noise_var[(2, 2)] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the reduction pinned with == against a serial reference: a copy of the
+# earlier two-pass binarize (a depth pass, then a placement pass with explicit
+# padding slots) and of the per-call topology scans it read
+
+
+def _ref_order(tree):
+    kids = {n.id: [] for n in tree.nodes}
+    for n in tree.nodes:
+        if n.parent is not None:
+            kids[n.parent].append(n.id)
+    root = next(n.id for n in tree.nodes if n.parent is None)
+    order, queue = [], [root]
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        queue.extend(kids[v])
+    return order
+
+
+def _ref_tree_to_cov(tree):
+    ids = [n.id for n in tree.nodes]
+    pos = {v: i for i, v in enumerate(ids)}
+    K = np.zeros((len(ids), len(ids)))
+    by_id = {nd.id: nd for nd in tree.nodes}
+    for v in _ref_order(tree):
+        i, nd = pos[v], by_id[v]
+        if nd.parent is None:
+            K[i, i] = tree.root_var
+            continue
+        p = pos[nd.parent]
+        row = nd.alpha * K[p, :]
+        K[i, :] = row
+        K[:, i] = row
+        K[i, i] = nd.alpha**2 * K[p, p] + nd.noise_var
+    return K
+
+
+def _ref_sample_tree(tree, count, seed):
+    rng = np.random.default_rng(seed)
+    pos = {n.id: i for i, n in enumerate(tree.nodes)}
+    by_id = {nd.id: nd for nd in tree.nodes}
+    out = np.empty((count, len(tree.nodes)))
+    for v in _ref_order(tree):
+        z = rng.standard_normal(count)
+        nd = by_id[v]
+        if nd.parent is None:
+            out[:, pos[v]] = math.sqrt(tree.root_var) * z
+        else:
+            out[:, pos[v]] = nd.alpha * out[:, pos[nd.parent]] + math.sqrt(nd.noise_var) * z
+    return out
+
+
+def _ref_reroot_order(tree, new_root):
+    """The node order and parent map that reroot refits to."""
+    old_parent = {n.id: n.parent for n in tree.nodes}
+    old_kids = {n.id: [] for n in tree.nodes}
+    for n in tree.nodes:
+        if n.parent is not None:
+            old_kids[n.parent].append(n.id)
+    new_parent, order = {new_root: None}, []
+
+    def visit(v):
+        order.append(v)
+        nbrs = [u for u in old_kids[v] if u != new_parent[v]]
+        if old_parent[v] is not None and old_parent[v] != new_parent[v]:
+            nbrs.append(old_parent[v])
+        for u in nbrs:
+            new_parent[u] = v
+            visit(u)
+
+    visit(new_root)
+    return order, new_parent
+
+
+def _ref_slots(queue, observed):
+    load = (1 if observed else 0) + len(queue)
+    if load <= 2:
+        slots = [("self", None)] if observed else []
+        slots.extend(("child", c) for c in queue)
+        while len(slots) < 2:
+            slots.append(("pad", None))
+        return slots
+    if observed:
+        return [("self", None), ("spread", queue)]
+    h = (len(queue) + 1) // 2
+    return [("spread", queue[:h]), ("spread", queue[h:])]
+
+
+def _ref_binarize(tree, obs):
+    parent = {n.id: n.parent for n in tree.nodes}
+    root = next(v for v, p in parent.items() if p is None)
+    keep = {root}
+    for o in obs:
+        v = o
+        while v is not None:
+            keep.add(v)
+            v = parent[v]
+    kids = {v: tuple(n.id for n in tree.nodes if n.parent == v and n.id in keep)
+            for v in keep}
+    by_id = {n.id: n for n in tree.nodes}
+
+    def req(v, queue, observed):
+        if not queue:
+            return 0
+        best = 0
+        for kind, payload in _ref_slots(queue, observed):
+            if kind == "child":
+                best = max(best, 1 + req(payload, kids[payload], payload in obs))
+            elif kind == "spread":
+                best = max(best, 1 + req(v, payload, False))
+            else:
+                best = max(best, 1)
+        return best
+
+    L = 1 + req(root, kids[root], root in obs)
+    alpha, noise, leaf_map = {}, {}, {}
+
+    def place(v, queue, observed, k, i):
+        if k == L:
+            if observed:
+                leaf_map[v] = i
+            return
+        for s, (kind, payload) in enumerate(_ref_slots(queue, observed)):
+            key = (k + 1, 2 * i - 1 + s)
+            if kind == "child":
+                alpha[key], noise[key] = by_id[payload].alpha, by_id[payload].noise_var
+                place(payload, kids[payload], payload in obs, *key)
+            else:
+                alpha[key], noise[key] = 1.0, 0.0
+                if kind == "self":
+                    place(v, (), True, *key)
+                elif kind == "spread":
+                    place(v, payload, False, *key)
+                else:
+                    place(v, (), False, *key)
+
+    place(root, kids[root], root in obs, 1, 1)
+    taken = set(leaf_map.values())
+    padding = frozenset(i for i in range(1, 2 ** (L - 1) + 1) if i not in taken)
+    return BinaryTreeSource(L, tree.root_var, alpha, noise, padding), leaf_map
+
+
+def _pinned_cases():
+    cases = []
+    for seed in range(300):
+        tree = random_general_tree(seed, 1 + seed % 6)
+        cases.append(tree)
+        cases.append(reroot(tree, tree.ids[(7 * seed) % len(tree.ids)]))
+    for w in range(1, 12):
+        kids = tuple(TreeNode(f"y{j}", "r", 0.6, 0.64) for j in range(w))
+        seen = frozenset(n.id for n in kids)
+        cases.append(MarkovTree((TreeNode("r", None),) + kids, 1.0, seen))
+        cases.append(MarkovTree((TreeNode("r", None),) + kids, 1.0, seen | {"r"}))
+    fig = load_model(fixture_path("figure_tree"))
+    for v in fig.ids:
+        try:
+            cases.append(reroot(fig, v))
+        except DomainError:
+            continue
+    return cases
+
+
+def test_reduction_equals_the_two_pass_reference():
+    cases = _pinned_cases()
+    assert len(cases) > 600
+    for tree in cases:
+        bt, leaf_map = binarize(tree)
+        ref, ref_map = _ref_binarize(tree, tree.observations)
+        assert binary_to_obj(bt) == binary_to_obj(ref)
+        assert leaf_map == ref_map and list(leaf_map) == list(ref_map)
+        assert bt == ref
+        assert np.array_equal(tree_to_cov(tree).matrix, _ref_tree_to_cov(tree))
+        assert np.array_equal(sample_tree(tree, 4, 3), _ref_sample_tree(tree, 4, 3))
+    # a subset of the observations, passed explicitly
+    fig = reroot(load_model(fixture_path("figure_tree")), "x1")
+    for k in range(1, 5):
+        for sub in itertools.combinations(sorted(fig.observations), k):
+            bt, leaf_map = binarize(fig, sub)
+            ref, ref_map = _ref_binarize(fig, frozenset(sub))
+            assert binary_to_obj(bt) == binary_to_obj(ref) and leaf_map == ref_map
+
+
+def test_reroot_equals_the_reference_refit():
+    for tree in _pinned_cases()[:600:2] + [load_model(fixture_path("figure_tree"))]:
+        for v in tree.ids:
+            if v == tree.root:
+                continue  # returned as it is
+            order, new_parent = _ref_reroot_order(tree, v)
+            want = fit_tree_params(
+                tree_to_cov(tree).submatrix(order), new_parent, tree.observations,
+                check=False)
+            try:
+                got = reroot(tree, v)
+            except DomainError:
+                continue
+            assert got.nodes == want.nodes and got.root_var == want.root_var
+            assert got.observations == want.observations
+
+
+def test_topology_is_kept_from_validation():
+    tree = MarkovTree(
+        (TreeNode("c", "a", 0.5, 0.75), TreeNode("a", None), TreeNode("d", "b", 0.3, 0.9),
+         TreeNode("b", "a", 0.8, 0.36), TreeNode("e", "a", 0.1, 0.99)),
+        1.0, frozenset({"d"}))
+    assert tree.root == "a"
+    assert tree.parent == {"c": "a", "a": None, "d": "b", "b": "a", "e": "a"}
+    assert {v: [c.id for c in k] for v, k in tree.kids.items()} == {
+        "c": [], "a": ["c", "b", "e"], "d": [], "b": ["d"], "e": []}
+    assert [n.id for n in tree.order] == ["a", "c", "b", "e", "d"]
+    assert tree.children("a") == ["c", "b", "e"]
+    assert tree.children("zzz") == []
+    # the kept fields take no part in equality
+    same = MarkovTree(tree.nodes, 1.0, frozenset({"d"}))
+    assert same == tree and hash(same) == hash(tree)

@@ -66,11 +66,6 @@ def test_mismatched_sampler_is_flagged(small_tree):
         llse_equivalence_check(small_tree, [0.8, 0.6], bad,
                                samples=100_000, seed=7)
     assert ei.value.code == "sampler-mismatch"
-    rep = llse_equivalence_check(small_tree, [0.8, 0.6], bad,
-                                 samples=100_000, seed=7,
-                                 validate_sampler=False)
-    assert rep.cov_max_dev > 3.0
-    assert not rep.passed
 
 
 def test_report_is_deterministic(small_tree):
@@ -83,9 +78,11 @@ def test_report_is_deterministic(small_tree):
 
 
 def test_sample_count_validation(small_tree):
-    with pytest.raises(ModelError):
-        llse_equivalence_check(small_tree, [0.8, 0.6], "uniform",
-                               samples=0, seed=0)
+    for samples in (0, -5, 2.5, 1000.0, "1000"):
+        with pytest.raises(ModelError) as err:
+            llse_equivalence_check(small_tree, [0.8, 0.6], "uniform",
+                                   samples=samples, seed=0)
+        assert err.value.code == "bad-samples"
 
 
 def test_alpha_validation(small_tree):
