@@ -12,9 +12,9 @@ vertex for weight lam on a, 1 - lam on b and 0 elsewhere: the chain
 ``region_slice`` run one search. The channel is searched by seeded multi-start
 coordinate descent over directions, each scaled onto the distortion boundary
 by solving a secular equation (one eigendecomposition of the whitened leaves
-by LAPACK ``dsyevd``, then a monotone Newton iteration); a region slice
-repairs each direction once for all its supporting weights. Vertices come
-from the Cholesky pivots of the covariance of u; encoders with alpha = 0,
+by numpy's ``eigh_lo`` gufunc, then a monotone Newton iteration); a region
+slice repairs each direction once for all its supporting weights. Vertices
+come from the Cholesky pivots of the covariance of u; encoders with alpha = 0,
 padding included, are left out of every factorization, since their
 contribution is exactly zero.
 
@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
+from numpy.linalg._umath_linalg import eigh_lo
 
 from . import gauss
 from ._search import multi_start
@@ -403,9 +403,11 @@ class ChannelContext:
         every iterate keeps the distortion at or below d. NaN coordinates
         count as zero; an infinite one cannot be scaled (None).
 
-        The eigendecomposition calls LAPACK ``dsyevd`` on the lower triangle
-        directly, the routine behind ``np.linalg.eigh`` without its wrapper
-        cost, and raises ``np.linalg.LinAlgError`` as eigh does if it fails.
+        The eigendecomposition calls numpy's ``eigh_lo`` gufunc, the LAPACK
+        ``dsyevd`` on the lower triangle behind ``np.linalg.eigh``, without
+        eigh's wrapper cost; scipy is not needed. The gufunc reports a failure
+        as NaN eigenvalues, and the repair raises ``np.linalg.LinAlgError`` on
+        them as eigh does.
         """
         live = [i for i in self.real if direction[i] > 0.0]  # NaN compares false
         mx = max((direction[i] for i in live), default=0.0)
@@ -416,16 +418,13 @@ class ChannelContext:
             return [0.0] * self.m  # the silent channel already meets d
         u = [direction[i] / mx for i in live]
         R = self._corr_off
-        lam, Q, info = dsyevd(
-            [[ui * uj * R[i][j] for j, uj in zip(live, u)] for i, ui in zip(live, u)],
-            compute_v=1, lower=1,
+        lam, Q = eigh_lo(
+            [[ui * uj * R[i][j] for j, uj in zip(live, u)] for i, ui in zip(live, u)]
         )
-        if info != 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        # C order keeps np.dot on the BLAS path it takes for eigh's eigenvectors
-        Q = np.ascontiguousarray(Q)
-        c2 = (np.dot([ui * self._rho[i] for i, ui in zip(live, u)], Q) ** 2).tolist()
         lam = lam.tolist()
+        if any(map(math.isnan, lam)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        c2 = (np.dot([ui * self._rho[i] for i, ui in zip(live, u)], Q) ** 2).tolist()
         h, dh = _secular(lam, c2, 1.0)
         if h < g:
             return None  # even t = 1 leaves the distortion above d

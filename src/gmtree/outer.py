@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, ModelError
 from .gauss import gaussian_cmi
@@ -220,7 +219,12 @@ class _OuterEval:
         singletons. After each solve every subset of the live encoders is
         scanned, and the most violated bound, if it exceeds CUT_TOL, joins
         the program, which is solved again from the last solution.
+
+        SLSQP is the package's only use of scipy, so ``scipy.optimize`` is
+        imported here, at the first solve, and not with the package.
         """
+        from scipy.optimize import minimize
+
         m = self.m
         held = self.known(w)
         live = [i for i in self.real if w[i - 1] > 0.0]

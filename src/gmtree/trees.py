@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._shards import check_samples
 from .errors import DomainError, ModelError
 from .gauss import Cov, check_cov
 
@@ -246,9 +247,11 @@ def fit_tree_params(
 
 
 def sample_tree(tree: MarkovTree, count: int, seed: int) -> np.ndarray:
-    """Sample the generative recursion; columns follow tree.ids order."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """Sample the generative recursion; columns follow tree.ids order.
+
+    ``count`` must be an integer >= 1 (``bad-samples``).
+    """
+    count = check_samples(count)
     rng = np.random.default_rng(seed)
     pos = {v: i for i, v in enumerate(tree.ids)}
     out = np.empty((count, len(tree.ids)))

@@ -337,6 +337,42 @@ def test_main_leaves_the_host_logging_alone():
     assert r.returncode == 0, r.stderr
 
 
+def _scipy_after(*argvs):
+    """The scipy modules a fresh interpreter holds after ``import gmtree,
+    gmtree.cli`` and a ``cli.main`` run on each argv in turn."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import gmtree, gmtree.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gmtree.cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_after() == []
+
+
+def test_inner_side_commands_load_no_scipy():
+    fig = fixture_path("figure_tree")
+    assert _scipy_after(
+        ["reduce", fig, "--target", "x1"],
+        ["inner", "--tree", fig, "-d", "0.5", "--starts", "1"],
+        ["region-slice", "--tree", fig, "-d", "0.5", "--pair", "x1,x2",
+         "--points", "3", "--starts", "1"],
+        ["embed-check", fixture_path("allquarter3")],
+    ) == []
+
+
+def test_outer_loads_scipy_at_its_first_solve():
+    mods = _scipy_after(["outer", "--tree", fixture_path("figure_tree"), "-d", "0.6"])
+    assert "scipy.optimize" in mods
+
+
 def test_divergence_csv_and_json(tmp_path):
     dest = tmp_path / "div.csv"
     r = run_cli("divergence", "--sigma2-grid", "10,1e3,1e6", "-d", "0.5",

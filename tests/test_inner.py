@@ -383,11 +383,13 @@ def test_repair_on_non_finite_coordinates(small_tree):
     assert ctx.repair([1.0, math.nan], 0.4) == ctx.repair([1.0, 0.0], 0.4)
 
 
-def _eigh_dsyevd(M, compute_v, lower):
-    """A stand-in for LAPACK dsyevd built on np.linalg.eigh (lower triangle)."""
-    assert compute_v == 1 and lower == 1
-    lam, Q = np.linalg.eigh(M)
-    return lam, Q, 0
+def _scipy_eigh(M):
+    """The repair's former eigensolve: scipy's LAPACK dsyevd, lower triangle."""
+    from scipy.linalg.lapack import dsyevd
+
+    lam, Q, info = dsyevd(M, compute_v=1, lower=1)
+    assert info == 0
+    return lam, Q
 
 
 def _repair_cases():
@@ -411,14 +413,14 @@ def _repair_cases():
 
 
 def test_repair_matches_an_eigh_reference(monkeypatch):
-    # the repair calls LAPACK dsyevd directly; the reference is the same
-    # repair on np.linalg.eigh. A different LAPACK build may move the last
+    # the repair calls numpy's eigh_lo gufunc; the reference is the same
+    # repair on scipy's dsyevd. A different LAPACK build may move the last
     # bits, hence a relative tolerance rather than ==
     checked = 0
     for ctx, dirs, ds in _repair_cases():
         got = [ctx.repair(x, d) for x in dirs for d in ds]
         with monkeypatch.context() as mp:
-            mp.setattr(inner_mod, "dsyevd", _eigh_dsyevd)
+            mp.setattr(inner_mod, "eigh_lo", _scipy_eigh)
             want = [ctx.repair(x, d) for x in dirs for d in ds]
         for g, w in zip(got, want):
             assert (g is None) == (w is None)
@@ -429,9 +431,28 @@ def test_repair_matches_an_eigh_reference(monkeypatch):
 
 
 def test_repair_raises_when_the_eigensolve_fails(small_tree, monkeypatch):
-    monkeypatch.setattr(inner_mod, "dsyevd", lambda M, compute_v, lower: (None, None, 1))
+    # the gufunc reports a LAPACK failure as NaN eigenvalues, not as info
+    def failed(M):
+        n = len(M)
+        return np.full(n, np.nan), np.full((n, n), np.nan)
+
+    monkeypatch.setattr(inner_mod, "eigh_lo", failed)
     with pytest.raises(np.linalg.LinAlgError):
         ChannelContext(small_tree).repair([1.0, 1.0], 0.4)
+
+
+def test_eigh_lo_is_np_linalg_eigh():
+    # the repair uses a private numpy gufunc: pin it to the public eigh
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for _ in range(20):
+            A = rng.normal(size=(n, n))
+            M = (A + A.T).tolist()
+            lam, Q = inner_mod.eigh_lo(M)
+            lam_ref, Q_ref = np.linalg.eigh(M)
+            assert np.array_equal(lam, lam_ref)
+            assert np.array_equal(Q, Q_ref)
+            assert Q.flags.c_contiguous
 
 
 def test_min_weighted_sum_single_encoder_threshold():

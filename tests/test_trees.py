@@ -116,6 +116,13 @@ def test_sample_tree_matches_covariance():
     assert np.max(np.abs(emp - np.asarray(cov.matrix))) < 0.02
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5])
+def test_sample_tree_refuses_a_bad_count_with_a_code(count):
+    with pytest.raises(ModelError) as err:
+        sample_tree(chain3(), count, 0)
+    assert err.value.code == "bad-samples"
+
+
 def test_reroot_preserves_covariance_and_orders_children():
     tree = chain3()
     rr = reroot(tree, "c")
