@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import check_count
 
 __all__ = ["golden_min", "coordinate_descent", "multi_start"]
 
@@ -102,10 +102,9 @@ def multi_start(
     ``tuple(x)``, so each distinct point is evaluated once per call and a
     repeat gets the very float the evaluation returned: the search path and
     the result are those of the memo-free loop. Nothing outlives the call.
-    ``starts`` below 1 is refused (``bad-budget``).
+    ``starts`` must be an integer >= 1 (``bad-budget``).
     """
-    if starts < 1:
-        raise ModelError(f"starts must be positive, not {starts!r}", code="bad-budget")
+    starts = check_count(starts, "starts", code="bad-budget")
     seen = {}
 
     def once(x):

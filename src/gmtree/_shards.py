@@ -9,13 +9,12 @@ results come back in shard order, so a caller that merges them in that order
 gets the same bits at any thread count.
 """
 
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import check_count
 
 
 def _cpus() -> int:
@@ -25,17 +24,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def check_samples(samples) -> int:
-    """``samples`` as an int; it must be an integer >= 1 (``bad-samples``)."""
-    try:
-        count = operator.index(samples)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ModelError(f"samples must be an integer >= 1, not {samples!r}", code="bad-samples")
-    return count
-
-
 def map_shards(fn, samples: int, shard_size: int, seed: int) -> list:
     """Results of ``fn(rng, size)`` for each shard, in shard order.
 
@@ -43,7 +31,7 @@ def map_shards(fn, samples: int, shard_size: int, seed: int) -> list:
     most one thread per CPU this process may use; it must touch no shared
     mutable state. ``samples`` must be an integer >= 1 (``bad-samples``).
     """
-    full, rest = divmod(check_samples(samples), shard_size)
+    full, rest = divmod(check_count(samples, "samples"), shard_size)
     sizes = [shard_size] * full + ([rest] if rest else [])
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(sizes))]
     workers = min(len(sizes), _cpus())

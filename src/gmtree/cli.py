@@ -6,7 +6,8 @@ stdout). Exit status: 0 success, 1 domain error (infeasible distortion,
 non-embeddable input, ...), 2 malformed input or usage. Error payloads go to
 stderr as JSON with a machine-readable "code". Each search budget has one
 source: its command-line flag, else the built-in default; the environment
-sets none of them. Rates are reported in nats and bits.
+sets none of them; the library refuses a budget below 1 (``bad-budget``).
+Rates are reported in nats and bits.
 """
 
 import argparse
@@ -18,25 +19,13 @@ import sys
 import numpy as np
 
 from . import embedding, inner, lattice, modelio, outer, trees, worstcase
-from .errors import GmtreeError, ModelError
+from .errors import GmtreeError, ModelError, check_count
 from .lattice import LatticePair
 
 __all__ = ["main", "build_parser"]
 
 log = logging.getLogger("gmtree")
 LN2 = math.log(2.0)
-
-
-def _positive_int(text) -> int:
-    """argparse type of the search budgets: --starts, --points and
-    --weights-grid take an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
-    return value
 
 
 def _bits(x: float) -> float:
@@ -256,7 +245,7 @@ def cmd_verify_matchup(args):
     m = tree.leaf_count
     rng = np.random.default_rng(args.seed)
     vectors = [[1.0] * m]
-    for _ in range(args.weights_grid - 1):
+    for _ in range(check_count(args.weights_grid, "--weights-grid", code="bad-budget") - 1):
         vectors.append([float(v) for v in rng.uniform(0.1, 1.0, m)])
     report = outer.matchup_verify(
         tree, args.distortion, vectors,
@@ -389,7 +378,7 @@ def cmd_worst_case(args):
 
 def _add_solver_opts(p, starts_default=16):
     """--starts and --seed: the inner search's multi-start budget and its seed."""
-    p.add_argument("--starts", type=_positive_int, default=starts_default)
+    p.add_argument("--starts", type=int, default=starts_default)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -434,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-matchup", help="inner vs outer gap report over a weight grid")
     p.add_argument("--tree", required=True)
     p.add_argument("-d", "--distortion", type=float, required=True)
-    p.add_argument("--weights-grid", type=_positive_int, default=8)
+    p.add_argument("--weights-grid", type=int, default=8)
     p.add_argument("--gap-tol", type=float, default=5e-3)
     _add_solver_opts(p)
     p.set_defaults(func=cmd_verify_matchup)
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("-d", "--distortion", type=float, required=True)
     p.add_argument("--pair", required=True)
-    p.add_argument("--points", type=_positive_int, default=17)
+    p.add_argument("--points", type=int, default=17)
     p.add_argument("--out")
     _add_solver_opts(p, starts_default=8)
     p.set_defaults(func=cmd_region_slice)

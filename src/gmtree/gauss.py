@@ -17,6 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import ModelError, check_count
+
 __all__ = [
     "Cov",
     "check_cov",
@@ -52,26 +54,29 @@ class Cov(NamedTuple):
 def check_cov(matrix, name: str = "covariance") -> np.ndarray:
     """Validate symmetry / PSD-ness (to tolerance) and return a symmetrized copy.
 
-    Raises ValueError when the matrix is materially asymmetric, has a negative
-    diagonal entry, or has an eigenvalue below -1e-10 times the largest
-    diagonal entry.
+    Raises ModelError (``bad-covariance``) when the matrix is not square, has
+    a non-finite entry, is materially asymmetric, has a negative diagonal
+    entry, or has an eigenvalue below -1e-10 times the largest diagonal entry.
     """
     K = np.asarray(matrix, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {K.shape}")
+        raise ModelError(f"{name} must be square, got shape {K.shape}", code="bad-covariance")
+    if not np.isfinite(K).all():
+        raise ModelError(f"{name} has a non-finite entry", code="bad-covariance")
     scale = float(np.max(np.abs(K))) if K.size else 0.0
     if scale > 0 and float(np.max(np.abs(K - K.T))) > _SYM_RTOL * scale:
-        raise ValueError(f"{name} is not symmetric within tolerance")
+        raise ModelError(f"{name} is not symmetric within tolerance", code="bad-covariance")
     K = 0.5 * (K + K.T)
     diag = np.diag(K)
     if K.size and float(diag.min()) < 0:
-        raise ValueError(f"{name} has a negative diagonal entry")
+        raise ModelError(f"{name} has a negative diagonal entry", code="bad-covariance")
     if K.size:
         floor = -1e-10 * max(float(diag.max()), 0.0)
         w = np.linalg.eigvalsh(K)
         if float(w.min()) < floor:
-            raise ValueError(
-                f"{name} is not positive semidefinite: min eigenvalue {w.min():.3e}"
+            raise ModelError(
+                f"{name} is not positive semidefinite: min eigenvalue {w.min():.3e}",
+                code="bad-covariance",
             )
     return K
 
@@ -202,10 +207,10 @@ def sample_gaussian(K, count: int, seed: int) -> np.ndarray:
     Returns an array of shape (count, dim). The factor comes from an
     eigendecomposition with negative eigenvalues clipped at zero, so exactly
     singular covariances (constants, duplicated coordinates) sample fine.
+    ``count`` must be an integer >= 1 (``bad-samples``).
     """
     K = check_cov(K)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = check_count(count, "count")
     w, U = np.linalg.eigh(K)
     root = U * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)

@@ -32,7 +32,7 @@ from numpy.linalg._umath_linalg import eigh_lo
 
 from . import gauss
 from ._search import multi_start
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, check_count, check_distortion, check_weights
 from .gauss import Cov, gaussian_cmi
 from .trees import BinaryTreeSource, binary_cov
 
@@ -57,13 +57,15 @@ __all__ = [
 
 
 def _check_alpha(tree: BinaryTreeSource, alpha) -> np.ndarray:
+    """The channel as an array: one coefficient in [0, 1] per leaf (NaN
+    refused with the rest), 0 at padding."""
     a = np.asarray(alpha, dtype=float)
     if a.shape != (tree.leaf_count,):
         raise ModelError(
             f"alpha must have one entry per leaf ({tree.leaf_count})", code="bad-channel"
         )
-    if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
-        raise ModelError("alpha entries must lie in [0, 1]", code="bad-channel")
+    if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):  # NaN compares false
+        raise ModelError("alpha entries must be numbers in [0, 1]", code="bad-channel")
     a = np.clip(a, 0.0, 1.0)
     for i in tree.padding:
         if a[i - 1] != 0.0:
@@ -193,9 +195,7 @@ def weight_order(weights) -> list[int]:
     Positions are 1-based. The chain starts at the most expensive encoder, so
     the large supermodular increments land on the cheap ones.
     """
-    w = list(map(float, weights))
-    if any(v < 0 for v in w):
-        raise DomainError("weights must be nonnegative", code="bad-weights")
+    w = check_weights(weights)
     return sorted(range(1, len(w) + 1), key=lambda i: (-w[i - 1], i))
 
 
@@ -450,29 +450,9 @@ class InnerSolution(NamedTuple):
     perm: tuple[int, ...]
 
 
-def _check_weights(weights, m: int) -> list[float]:
-    """The weights as floats: m finite, nonnegative entries."""
-    w = [float(v) for v in weights]
-    if len(w) != m:
-        raise ModelError(f"expected {m} weights", code="bad-weights")
-    if not all(map(math.isfinite, w)):
-        raise ModelError("weights must be finite numbers", code="bad-weights")
-    if any(v < 0 for v in w):
-        raise DomainError("weights must be nonnegative", code="bad-weights")
-    return w
-
-
-def _check_distortion(d) -> None:
-    """Refuse a distortion that is not a finite positive number."""
-    if not math.isfinite(d):
-        raise ModelError(f"distortion must be a finite number, not {d!r}", code="bad-number")
-    if d <= 0:
-        raise DomainError("distortion must be positive", code="infeasible-distortion")
-
-
 def _silent_meets(ctx: ChannelContext, d) -> bool:
     """True when the silent channel (alpha = 0) meets d; raises when no channel can."""
-    _check_distortion(d)
+    check_distortion(d)
     if ctx.root_var == 0.0 or d >= ctx.root_var:
         return True
     if d <= ctx.d_floor * (1 + 1e-12):
@@ -533,10 +513,12 @@ def min_weighted_sum(
     descent with ``starts`` starts drawn from ``seed`` (the sweep cap and
     stopping tolerance are ``_search``'s SWEEPS and TOL); results are
     deterministic for a fixed seed. ``warm``, a direction, joins the starts.
+    ``starts`` must be an integer >= 1 (``bad-budget``) at any d.
     """
+    starts = check_count(starts, "starts", code="bad-budget")
     ctx = _ctx if _ctx is not None else ChannelContext(tree)
     m = ctx.m
-    w = _check_weights(weights, m)
+    w = check_weights(weights, m)
     perm = weight_order(w)
     if _silent_meets(ctx, d):
         return InnerSolution(0.0, np.zeros(m), np.zeros(m), ctx.root_var, tuple(perm))
@@ -579,10 +561,10 @@ def region_slice(
     one memo of repaired directions: each direction is repaired once per
     slice. A point is kept only if it lowers R_b by more than SLICE_TOL.
     With a single encoder the slice degenerates to one threshold point.
-    ``points`` below 1 is refused (``bad-budget``).
+    ``points`` and ``starts`` must be integers >= 1 (``bad-budget``) at any d.
     """
-    if points < 1:
-        raise ModelError(f"points must be positive, not {points!r}", code="bad-budget")
+    points = check_count(points, "points", code="bad-budget")
+    starts = check_count(starts, "starts", code="bad-budget")
     ctx = ChannelContext(tree)
     m = ctx.m
     a, b = pair

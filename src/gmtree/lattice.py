@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._shards import map_shards
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, check_distortion, check_finite
 
 __all__ = [
     "LatticePair",
@@ -97,14 +97,15 @@ def _mod_cell(v, m: int, tmp):
 
 def lattice_encode(x: float, lp: LatticePair) -> float:
     """Fine-lattice point of x reduced into [-2^(m-1), 2^(m-1))."""
-    if not math.isfinite(x):
-        raise DomainError("sample must be finite", code="bad-sample")
+    check_finite(x, "sample")
     v = np.array([x], dtype=float)
     return float(_mod_cell(_fine(v, lp.n), lp.m, np.empty(1))[0])
 
 
 def lattice_decode(u1: float, u2: float, lp: LatticePair) -> float:
     """Modular difference of the two messages, same cell and tie rule."""
+    check_finite(u1, "message")
+    check_finite(u2, "message")
     return float(_mod_cell(np.array([u1 - u2], dtype=float), lp.m, np.empty(1))[0])
 
 
@@ -125,13 +126,8 @@ class McEstimate(NamedTuple):
     samples: int
 
 
-def _finite(x: float, what: str) -> None:
-    if not math.isfinite(x):
-        raise ModelError(f"{what} must be a finite number, not {x!r}", code="bad-number")
-
-
 def _rho(sigma2: float) -> float:
-    _finite(sigma2, "sigma2")
+    check_finite(sigma2, "sigma2")
     if sigma2 <= 0.5:
         raise DomainError(
             "sigma2 must exceed 1/2 for the coupled correlation", code="sigma2-out-of-range"
@@ -233,9 +229,7 @@ def separation_min_sum_rate(sigma2: float, d: float, *, seed: int = 0) -> float:
     pass one keep working.
     """
     _, one_m_rho2 = _sep_terms(sigma2)
-    _finite(d, "distortion")
-    if d <= 0.0:
-        raise DomainError("distortion must be positive", code="infeasible-distortion")
+    check_distortion(d)
     if d >= 1.0:
         return 0.0
     a = d / (2.0 * sigma2 * (1.0 - d))
@@ -289,7 +283,7 @@ def divergence_report(
     grid = [float(s) for s in sigma2_grid]
     if not grid:
         raise ModelError("sigma2 grid is empty", code="bad-grid")
-    _finite(d, "distortion")
+    check_finite(d, "distortion")
     bound = lattice_analytic_bound(lp)
     if bound > d:
         raise DomainError(

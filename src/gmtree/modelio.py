@@ -139,8 +139,6 @@ def _parse_tree(obj) -> MarkovTree:
 
 def _parse_binary(obj) -> BinaryTreeSource:
     depth = _require(obj, "depth")
-    if not isinstance(depth, int) or depth < 1:
-        raise ModelError("depth must be a positive integer", code="bad-model")
     root_var = _float(_require(obj, "root_var"))
     alpha, noise = {}, {}
     for nd in _require(obj, "nodes"):

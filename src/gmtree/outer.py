@@ -48,17 +48,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, check_count, check_distortion, check_weights
 from .gauss import gaussian_cmi
-from .inner import (
-    ChannelContext,
-    _check_alpha,
-    _check_distortion,
-    _check_weights,
-    build_joint,
-    min_weighted_sum,
-    weight_order,
-)
+from .inner import ChannelContext, _check_alpha, build_joint, min_weighted_sum, weight_order
 from .trees import BinaryTreeSource
 
 __all__ = [
@@ -352,7 +344,7 @@ def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) 
     A zero-noise node's entry is its q (see the module docstring), capped
     like a rate by ``f_node``.
     """
-    _check_distortion(d)
+    check_distortion(d)
     rates = _check_rates(tree, r)
     if any(v < -tol for v in rates[1:]):
         return False
@@ -466,8 +458,8 @@ def rd_out_min_weighted(tree: BinaryTreeSource, weights, d: float, *,
     of the rate region at distortion d.
     """
     ev = _ev if _ev is not None else _OuterEval(tree)
-    w = _check_weights(weights, ev.m)
-    _check_distortion(d)
+    w = check_weights(weights, ev.m)
+    check_distortion(d)
     s2 = tree.root_var
     if s2 == 0.0 or d >= s2:
         return OuterSolution(0.0, {n: 0.0 for n in tree.nodes()}, 0, True, 0)
@@ -516,8 +508,14 @@ def matchup_verify(
     the region's inner and outer descriptions coincide. ``starts`` and
     ``seed`` budget the inner search of the first weight vector; later ones
     reuse the previous optimum as a warm start with WARM_STARTS starts and
-    seed + their index. ``tol`` is the largest gap that passes.
+    seed + their index. ``tol`` is the largest gap that passes. ``starts``
+    must be an integer >= 1 (``bad-budget``) at any d, and there must be at
+    least one weight vector (``bad-weights``).
     """
+    starts = check_count(starts, "starts", code="bad-budget")
+    weight_vectors = list(weight_vectors)
+    if not weight_vectors:
+        raise ModelError("matchup_verify needs at least one weight vector", code="bad-weights")
     report = MatchupReport(d, tol)
     ictx = ChannelContext(tree)
     ev = _OuterEval(tree)

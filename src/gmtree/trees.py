@@ -25,8 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._shards import check_samples
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, check_count, check_finite
 from .gauss import Cov, check_cov
 
 __all__ = [
@@ -47,9 +46,8 @@ NodeId = tuple[int, int]
 
 
 def _check_param(v, what: str, variance: bool = False):
-    """Refuse NaN and +-inf (NaN would pass a `< 0` test), and negative variances."""
-    if not math.isfinite(v):
-        raise ModelError(f"{what} is not a finite number: {v!r}", code="bad-number")
+    """Refuse a number that is not finite, and a negative variance."""
+    check_finite(v, what)
     if variance and v < 0:
         raise ModelError(f"negative {what}", code="negative-variance")
 
@@ -146,6 +144,15 @@ def tree_to_cov(tree: MarkovTree) -> Cov:
     return Cov(ids, K)
 
 
+def _shape(topology: Mapping[str, str | None], labels) -> MarkovTree:
+    """The parent map ``topology`` (node id -> parent id, None at the root)
+    over ``labels`` as a parameter-free MarkovTree, whose validation walk
+    refuses two roots, an unknown parent and a cycle."""
+    if set(topology) != set(labels):
+        raise ModelError("topology ids do not match covariance labels", code="bad-topology")
+    return MarkovTree(tuple(TreeNode(v, p) for v, p in topology.items()), 0.0)
+
+
 def validate_markov(topology: Mapping[str, str | None], K: Cov, tol: float = 1e-9):
     """Check that K satisfies the conditional-independence pattern of a tree.
 
@@ -155,34 +162,18 @@ def validate_markov(topology: Mapping[str, str | None], K: Cov, tol: float = 1e-
     node, to absolute tolerance. Returns the list of violations as tuples
     (node, a, b, partial_covariance); empty means consistent.
     """
-    labels = list(K.labels)
-    if set(topology) != set(labels):
-        raise ModelError("topology ids do not match covariance labels", code="bad-topology")
+    shape = _shape(topology, K.labels)
     M = K.matrix
-    pos = {v: i for i, v in enumerate(labels)}
-    kids: dict[str, list[str]] = {v: [] for v in labels}
-    root = None
-    for v, p in topology.items():
-        if p is None:
-            root = v
-        else:
-            kids[p].append(v)
-    if root is None:
-        raise ModelError("topology has no root", code="bad-root")
-
-    def subtree(v: str) -> set[str]:
-        out, stack = set(), [v]
-        while stack:
-            u = stack.pop()
-            out.add(u)
-            stack.extend(kids[u])
-        return out
+    pos = {v: i for i, v in enumerate(K.labels)}
+    below: dict[str, set[str]] = {}  # each node's subtree, children first
+    for nd in reversed(shape.order):
+        below[nd.id] = {nd.id}.union(*(below[c.id] for c in shape.kids[nd.id]))
 
     violations = []
-    allset = set(labels)
-    for v in labels:
-        groups = [subtree(c) for c in kids[v]]
-        rest = allset - subtree(v)
+    allset = set(K.labels)
+    for v in K.labels:
+        groups = [below[c.id] for c in shape.kids[v]]
+        rest = allset - below[v]
         if rest:
             groups.append(rest)
         iv = pos[v]
@@ -211,8 +202,10 @@ def fit_tree_params(
 
     alpha_child = Cov(child, parent) / Var(parent) (zero when the parent is
     degenerate) and noise = Var(child) - alpha^2 Var(parent). With a Markov-
-    consistent K this inverts tree_to_cov.
+    consistent K this inverts tree_to_cov. The topology is checked as in
+    ``validate_markov``; ``check`` adds the Markov conditions.
     """
+    parent = _shape(topology, K.labels).parent
     if check:
         bad = validate_markov(topology, K)
         if bad:
@@ -227,7 +220,7 @@ def fit_tree_params(
     nodes = []
     root_var = 0.0
     for v in K.labels:
-        p = topology[v]
+        p = parent[v]
         iv = pos[v]
         if p is None:
             root_var = float(M[iv, iv])
@@ -251,7 +244,7 @@ def sample_tree(tree: MarkovTree, count: int, seed: int) -> np.ndarray:
 
     ``count`` must be an integer >= 1 (``bad-samples``).
     """
-    count = check_samples(count)
+    count = check_count(count, "count")
     rng = np.random.default_rng(seed)
     pos = {v: i for i, v in enumerate(tree.ids)}
     out = np.empty((count, len(tree.ids)))
@@ -338,8 +331,7 @@ class BinaryTreeSource:
 
     def __post_init__(self):
         object.__setattr__(self, "padding", frozenset(self.padding))
-        if self.depth < 1:
-            raise ModelError("depth must be >= 1", code="bad-depth")
+        check_count(self.depth, "depth", code="bad-depth")
         _check_param(self.root_var, "root variance", variance=True)
         edges = self.nodes()[1:]
         if set(self.alpha) != set(edges) or set(self.noise_var) != set(edges):
@@ -439,12 +431,13 @@ def _slots(queue: tuple[TreeNode, ...], observed: bool):
     return [(_SPREAD, queue[:h]), (_SPREAD, queue[h:])]
 
 
-def binarize(tree: MarkovTree, observations: Iterable[str] | None = None):
+def binarize(tree: MarkovTree):
     """Reduce a rooted tree to a complete binary source of minimal depth.
 
-    The root must be the reconstruction target. Nodes not on a path between
-    the root and an observation are dropped first (they cannot affect the
-    joint law of the remaining nodes). One walk lays the kept nodes out
+    The root must be the reconstruction target, and ``tree.observations``
+    are the encoders' nodes. Nodes not on a path between the root and an
+    observation are dropped first (they cannot affect the joint law of the
+    remaining nodes). One walk lays the kept nodes out
     from the root and returns the deepest level L it reaches; every binary
     node it leaves empty is a copy edge (alpha 1, noise 0). An observation
     whose copy chain starts at node (k, i) sits on the leftmost leaf below
@@ -454,12 +447,9 @@ def binarize(tree: MarkovTree, observations: Iterable[str] | None = None):
     Returns (BinaryTreeSource, leaf_map) where leaf_map sends each original
     observation id to its leaf position at level L.
     """
-    obs = frozenset(tree.observations if observations is None else observations)
+    obs = tree.observations
     if not obs:
         raise ModelError("binarize needs a nonempty observation set", code="bad-observation")
-    unknown = obs - tree.parent.keys()
-    if unknown:
-        raise ModelError(f"observations not in tree: {sorted(unknown)}", code="bad-observation")
 
     keep = {tree.root}
     for v in obs:

@@ -447,3 +447,39 @@ def test_bad_env_default_of_an_absent_option_is_ignored(argv, env):
     r = run_cli(*argv, env_extra=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout == run_cli(*argv).stdout
+
+
+NON_PSD = {"covariance": {"labels": ["x1", "x2", "x3"], "matrix": [
+    ["1", "9/10", "-9/10"], ["9/10", "1", "9/10"], ["-9/10", "9/10", "1"]]}}
+
+
+@pytest.mark.parametrize("cmd", ["embed-check", "embed3"])
+def test_non_psd_covariance_is_input_error(tmp_path, cmd):
+    r = run_cli(cmd, write_model(tmp_path, "nonpsd.json", NON_PSD))
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["code"] == "bad-covariance"
+    assert r.stdout == ""
+
+
+def test_nan_channel_is_input_error():
+    r = run_cli("worst-case", "--tree", fixture_path("figure_tree"),
+                "--alpha", "nan,0.5,0.5,0.5", "--samples", "1000")
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["code"] == "bad-channel"
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("inner", "--starts"), ("verify-matchup", "--starts"),
+    ("verify-matchup", "--weights-grid"), ("region-slice", "--points"),
+    ("region-slice", "--starts"),
+])
+def test_non_positive_budget_is_refused_where_no_search_runs(cmd, flag):
+    # d = 2 is above figure_tree's root variance: the silent channel meets it
+    args = [cmd, "--tree", fixture_path("figure_tree"), "-d", "2", flag, "0"]
+    if cmd == "region-slice":
+        args += ["--pair", "x1,x2"]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["code"] == "bad-budget"
+    assert "positive" in r.stderr
+    assert r.stdout == ""

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmtree import Cov, conditional_cov, gaussian_cmi, llse_coefficients, mmse, sample_gaussian
+from gmtree import (
+    Cov, ModelError, conditional_cov, gaussian_cmi, llse_coefficients, mmse, sample_gaussian)
+from gmtree.gauss import check_cov
 from conftest import random_psd
 
 
@@ -136,3 +138,23 @@ def test_cov_label_lookup():
     sub = cov.submatrix(["b"])
     assert sub.labels == ("b",)
     assert sub.matrix.shape == (1, 1)
+
+
+@pytest.mark.parametrize("K", [
+    [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]],  # symmetric, not PSD
+    [[1.0, 0.5], [0.0, 1.0]],  # asymmetric
+    [[-1.0, 0.0], [0.0, 1.0]],  # negative variance
+    [[1.0, math.nan], [math.nan, 1.0]],
+    [1.0, 2.0],  # not a matrix
+])
+def test_check_cov_refusals_are_coded(K):
+    with pytest.raises(ModelError) as err:
+        check_cov(K)
+    assert err.value.code == "bad-covariance"
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5])
+def test_sample_gaussian_refuses_a_bad_count_with_a_code(count):
+    with pytest.raises(ModelError) as err:
+        sample_gaussian(np.eye(2), count, 0)
+    assert err.value.code == "bad-samples"

@@ -665,3 +665,51 @@ def test_default_budget_reaches_the_oracle_checked_witness():
     tree, d, w, alpha = _missed_channel_case()
     witness = float(np.dot(w, vertex_rates(tabulate_rank(tree, alpha), weight_order(w))))
     assert min_weighted_sum(tree, w, d).value <= witness + 5e-3
+
+
+def test_nan_channel_coefficient_is_refused(small_tree):
+    # NaN compares false against both ends of [0, 1]
+    for alpha in ([math.nan, 0.5], [0.5, math.inf]):
+        with pytest.raises(ModelError) as err:
+            tabulate_rank(small_tree, alpha)
+        assert err.value.code == "bad-channel"
+
+
+def test_weight_order_refuses_non_finite_weights():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError) as err:
+            weight_order([bad, 1.0, 0.5])
+        assert err.value.code == "bad-weights"
+    with pytest.raises(DomainError) as err:
+        weight_order([-1.0, 1.0])
+    assert err.value.code == "bad-weights"
+
+
+@pytest.mark.parametrize("budget", [{"starts": 2.5}, {"starts": "4"}])
+def test_min_weighted_sum_refuses_a_non_integer_budget(small_tree, budget):
+    with pytest.raises(ModelError) as err:
+        min_weighted_sum(small_tree, [1.0, 1.0], 0.5, **budget)
+    assert err.value.code == "bad-budget"
+
+
+@pytest.mark.parametrize("budget", [{"points": 2.5}, {"starts": 1.0}])
+def test_region_slice_refuses_a_non_integer_budget(small_tree, budget):
+    with pytest.raises(ModelError) as err:
+        region_slice(small_tree, 0.5, (1, 2), **budget)
+    assert err.value.code == "bad-budget"
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+def test_budget_is_checked_before_the_silent_channel(small_tree, d):
+    # d >= the root variance is met by the silent channel without a search;
+    # a bad budget is refused there all the same
+    assert min_weighted_sum(small_tree, [1.0, 1.0], d).value == 0.0
+    for call in (
+        lambda: min_weighted_sum(small_tree, [1.0, 1.0], d, starts=0),
+        lambda: region_slice(small_tree, d, (1, 2), points=0),
+        lambda: region_slice(small_tree, d, (1, 2), starts=-1),
+    ):
+        with pytest.raises(ModelError) as err:
+            call()
+        assert err.value.code == "bad-budget"
+        assert "positive" in str(err.value)

@@ -39,10 +39,10 @@ def test_encode_worked_examples():
     # half-step ties round toward +inf
     assert lattice_encode(0.125, LatticePair(2, 3)) == 0.25
     assert lattice_encode(-0.125, LatticePair(2, 3)) == 0.0
-    with pytest.raises(DomainError):
-        lattice_encode(math.nan, LatticePair(2, 1))
-    with pytest.raises(DomainError):
-        lattice_encode(math.inf, LatticePair(2, 1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError) as err:
+            lattice_encode(bad, LatticePair(2, 1))
+        assert err.value.code == "bad-number"
 
 
 def test_encode_output_range_and_idempotence():
@@ -414,3 +414,11 @@ def test_divergence_report_guards():
     with pytest.raises(DomainError):
         # bound at n=0, m=1 is far above the target distortion
         divergence_report([10.0], 1e-3, LatticePair(0, 1), samples=1000)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lattice_decode_refuses_non_finite_messages(bad):
+    for u1, u2 in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ModelError) as err:
+            lattice_decode(u1, u2, LatticePair(8, 4))
+        assert err.value.code == "bad-number"

@@ -529,3 +529,23 @@ def test_rate_checks_refuse_nan_and_accept_inf(small_tree, node):
     assert isinstance(frd_contains(small_tree, r, 0.9), bool)
     assert not math.isnan(rd_out_subset_bound(small_tree, r, [1]))
     assert not math.isnan(telescope_f(small_tree, (1, 1), [1], r, "only"))
+
+
+def test_equality_rates_refuse_a_nan_channel(small_tree):
+    with pytest.raises(ModelError) as err:
+        equality_rates(small_tree, [math.nan, 0.5])
+    assert err.value.code == "bad-channel"
+
+
+def test_matchup_verify_refuses_an_empty_weight_list(small_tree):
+    with pytest.raises(ModelError) as err:
+        matchup_verify(small_tree, 0.5, [])
+    assert err.value.code == "bad-weights"
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0])
+@pytest.mark.parametrize("starts", [0, -2, 2.5])
+def test_matchup_verify_checks_its_budget_on_entry(small_tree, d, starts):
+    with pytest.raises(ModelError) as err:
+        matchup_verify(small_tree, d, [[1.0, 1.0]], starts=starts)
+    assert err.value.code == "bad-budget"

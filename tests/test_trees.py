@@ -6,6 +6,7 @@ import pytest
 
 from gmtree import (
     BinaryTreeSource,
+    Cov,
     DomainError,
     MarkovTree,
     ModelError,
@@ -449,11 +450,11 @@ def test_reduction_equals_the_two_pass_reference():
         assert bt == ref
         assert np.array_equal(tree_to_cov(tree).matrix, _ref_tree_to_cov(tree))
         assert np.array_equal(sample_tree(tree, 4, 3), _ref_sample_tree(tree, 4, 3))
-    # a subset of the observations, passed explicitly
+    # a subset of the observations, as the tree's observation set
     fig = reroot(load_model(fixture_path("figure_tree")), "x1")
     for k in range(1, 5):
         for sub in itertools.combinations(sorted(fig.observations), k):
-            bt, leaf_map = binarize(fig, sub)
+            bt, leaf_map = binarize(MarkovTree(fig.nodes, fig.root_var, sub))
             ref, ref_map = _ref_binarize(fig, frozenset(sub))
             assert binary_to_obj(bt) == binary_to_obj(ref) and leaf_map == ref_map
 
@@ -490,3 +491,39 @@ def test_topology_is_kept_from_validation():
     # the kept fields take no part in equality
     same = MarkovTree(tree.nodes, 1.0, frozenset({"d"}))
     assert same == tree and hash(same) == hash(tree)
+
+
+@pytest.mark.parametrize("topology, code", [
+    ({"a": None, "b": "c", "c": "b"}, "bad-topology"),  # a cycle off the root
+    ({"a": None, "b": None, "c": "a"}, "bad-root"),
+    ({"a": None, "b": "a", "c": "z"}, "bad-parent"),
+    ({"a": "b", "b": "c", "c": "a"}, "bad-root"),
+])
+def test_topology_is_refused_by_the_tree_validation(topology, code):
+    cov = Cov(("a", "b", "c"), np.eye(3))
+    for call in (
+        lambda: validate_markov(topology, cov),
+        lambda: fit_tree_params(cov, topology),
+        lambda: fit_tree_params(cov, topology, check=False),
+    ):
+        with pytest.raises(ModelError) as err:
+            call()
+        assert err.value.code == code
+
+
+def test_validate_markov_lists_violations_per_branch():
+    # star at b over a, c, d: a and c correlate given b, and so do c and d
+    labels = ("a", "b", "c", "d")
+    K = np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))
+    got = validate_markov({"b": None, "a": "b", "c": "b", "d": "c"}, Cov(labels, K))
+    # given b: a vs {c, d}; given c: d vs {a, b}
+    assert [(v, a, b) for v, a, b, _ in got] == [
+        ("b", "a", "c"), ("b", "a", "d"), ("c", "d", "a"), ("c", "d", "b")]
+    assert all(abs(pc - (0.5 - 0.25)) < 1e-12 for *_, pc in got)
+
+
+@pytest.mark.parametrize("depth", [0, 2.5, math.nan, math.inf, "3"])
+def test_binary_depth_must_be_a_positive_integer(depth):
+    with pytest.raises(ModelError) as err:
+        BinaryTreeSource(depth, 1.0)
+    assert err.value.code == "bad-depth"
