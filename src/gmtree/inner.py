@@ -23,6 +23,7 @@ the tree node indexing.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -560,14 +561,20 @@ def region_slice(
     seeded pool and meet on the same golden-section points, so they share
     one memo of repaired directions: each direction is repaired once per
     slice. A point is kept only if it lowers R_b by more than SLICE_TOL.
-    With a single encoder the slice degenerates to one threshold point.
-    ``points`` and ``starts`` must be integers >= 1 (``bad-budget``) at any d.
+    ``pair`` is two integers (``bad-pair`` otherwise, at any m): with two or
+    more encoders, two distinct positions 1..m of real encoders. With a
+    single encoder the slice degenerates to one threshold point, whatever
+    the two integers. ``points`` and ``starts`` must be integers >= 1
+    (``bad-budget``) at any d.
     """
     points = check_count(points, "points", code="bad-budget")
     starts = check_count(starts, "starts", code="bad-budget")
+    try:
+        a, b = (operator.index(v) for v in pair)
+    except (TypeError, ValueError):
+        raise ModelError(f"pair must be two integers, not {pair!r}", code="bad-pair") from None
     ctx = ChannelContext(tree)
     m = ctx.m
-    a, b = pair
     if m > 1:
         if not (1 <= a <= m and 1 <= b <= m) or a == b:
             raise ModelError("pair must be two distinct encoder positions", code="bad-pair")

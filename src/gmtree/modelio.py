@@ -10,8 +10,9 @@ A model file is a JSON object carrying exactly one of:
 
 Numbers may be JSON numbers or decimal strings; strings also admit exact
 rationals ("1/4"), which the covariance path preserves so graph structure can
-be decided without rounding. Extra top-level keys are ignored, so emitted
-reports that embed a model re-parse unchanged.
+be decided without rounding. The binary tree's ``depth``, ``level``, ``pos``
+and ``padding`` entries are positions: JSON integers >= 1. Extra top-level
+keys are ignored, so emitted reports that embed a model re-parse unchanged.
 """
 
 import json
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, check_count
 from .gauss import Cov
 from .trees import BinaryTreeSource, MarkovTree, TreeNode
 
@@ -142,10 +143,10 @@ def _parse_binary(obj) -> BinaryTreeSource:
     root_var = _float(_require(obj, "root_var"))
     alpha, noise = {}, {}
     for nd in _require(obj, "nodes"):
-        key = (int(_require(nd, "level")), int(_require(nd, "pos")))
+        key = tuple(check_count(_require(nd, k), k, code="bad-model") for k in ("level", "pos"))
         alpha[key] = _float(_require(nd, "alpha"))
         noise[key] = _float(_require(nd, "noise_var"))
-    padding = frozenset(int(i) for i in obj.get("padding", []))
+    padding = frozenset(check_count(i, "padding", code="bad-model") for i in obj.get("padding", []))
     return BinaryTreeSource(depth, root_var, alpha, noise, padding)
 
 

@@ -214,6 +214,17 @@ TWO_ENCODER = {"binary_tree": {
 }}
 
 
+@pytest.mark.parametrize("level", ["x", 2.7])
+def test_non_integer_binary_level_is_input_error(tmp_path, level):
+    # "x" printed a ValueError traceback with exit 1; 2.7 was read as level 2
+    obj = json.loads(json.dumps(TWO_ENCODER))
+    obj["binary_tree"]["nodes"][0]["level"] = level
+    r = run_cli("inner", "--tree", write_model(tmp_path, "bad.json", obj), "-d", "0.5")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["code"] == "bad-model"
+
+
 def test_outer_diagnostics_of_the_convex_solve(tmp_path):
     p = write_model(tmp_path, "two.json", TWO_ENCODER)
     runs = [run_cli("outer", "--tree", p, "-d", "0.55") for _ in range(2)]

@@ -566,6 +566,16 @@ def test_region_slice_single_encoder_degenerates():
     t = BinaryTreeSource(1, 1.0)
     pts = region_slice(t, 0.25, (1, 1))
     assert pts == [(0.5 * math.log(4.0), 0.0)]
+    assert region_slice(t, 0.25, (np.int64(3), 2)) == pts
+
+
+@pytest.mark.parametrize("pair", [(1.5, 2), (1, 2.0), ("1", 2), (1, None), (1, 2, 3), (1,), None])
+def test_region_slice_refuses_a_non_integer_pair(small_tree, pair):
+    # (1.5, 2) passed the range test and then raised a bare TypeError
+    for tree in (small_tree, BinaryTreeSource(1, 1.0)):
+        with pytest.raises(ModelError) as err:
+            region_slice(tree, 0.5, pair, points=2, starts=1)
+        assert err.value.code == "bad-pair"
 
 
 def test_region_slice_drops_points_within_the_search_tolerance(small_tree):

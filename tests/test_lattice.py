@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,6 +21,7 @@ from gmtree import (
     separation_min_sum_rate,
 )
 from gmtree import _shards
+from gmtree import lattice as lattice_mod
 from gmtree.lattice import _fine, _mod_cell, _sep_distortion, _sep_rate, _sep_terms
 
 
@@ -176,6 +179,118 @@ def test_estimates_equal_the_serial_out_of_place_reference(monkeypatch, cpus):
     # one partial shard runs inline
     got = lattice_mc_distortion(1e6, LatticePair(8, 4), samples=300_000, seed=8)
     assert (got.value, got.se) == _ref_mc(1e6, LatticePair(8, 4), 300_000, 8)
+
+
+def _whole_pair(rng, size, sigma2):
+    # the whole-array shards that the block streaming replaced, kept verbatim
+    x2 = rng.standard_normal(size)
+    x2 *= math.sqrt(sigma2 - 0.25)
+    z1 = rng.standard_normal(size)
+    tmp = np.multiply(z1, 0.5)
+    x1 = x2 + tmp
+    x2 -= tmp
+    return x1, x2, z1, tmp
+
+
+def _whole_mc_shard(rng, size, sigma2, lp):
+    x1, x2, x3, tmp = _whole_pair(rng, size, sigma2)
+    u1 = _mod_cell(_fine(x1, lp.n), lp.m, tmp)
+    u2 = _mod_cell(_fine(x2, lp.n), lp.m, tmp)
+    u1 -= u2
+    err = np.subtract(x3, _mod_cell(u1, lp.m, tmp), out=u1)
+    err *= err
+    sq = np.multiply(err, err, out=u2)
+    return float(err.sum()), float(sq.sum())
+
+
+def _whole_tail_shard(rng, size, sigma2, lp):
+    x1, x2, _, _ = _whole_pair(rng, size, sigma2)
+    diff = _fine(x1, lp.n)
+    diff -= _fine(x2, lp.n)
+    np.abs(diff, out=diff)
+    return int(np.count_nonzero(diff >= 2.0 ** (lp.m - 1)))
+
+
+def _whole_mc(sigma2, lp, samples, seed):
+    parts = [_whole_mc_shard(rng, size, sigma2, lp) for size, rng in _ref_shards(samples, seed)]
+    mean = math.fsum(p[0] for p in parts) / samples
+    var = max(math.fsum(p[1] for p in parts) / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def _whole_tail(sigma2, lp, samples, seed):
+    p = sum(_whole_tail_shard(rng, size, sigma2, lp) for size, rng in _ref_shards(samples, seed))
+    p /= samples
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+
+
+B = lattice_mod._BLOCK
+
+
+@pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 3 * B + 5, 1_000_000, 2_000_000, 2_500_000])
+def test_block_streams_equal_the_whole_array_shards(monkeypatch, samples):
+    # on 1 CPU everything runs inline; one shard on 2 or 4 CPUs, and two
+    # shards on 4, stream with a helper thread; other splits run blocks inline
+    seed = samples % 11
+    want = {}
+    for sigma2 in (1e2, 1e4, 1e6):
+        for lp in (LatticePair(8, 4), LatticePair(8, 2), LatticePair(8, 3)):
+            want[sigma2, lp] = (_whole_mc(sigma2, lp, samples, seed),
+                                _whole_tail(sigma2, lp, samples, seed))
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(_shards, "_cpus", lambda: cpus)
+        for (sigma2, lp), (mc, tail) in want.items():
+            got = lattice_mc_distortion(sigma2, lp, samples=samples, seed=seed)
+            assert (got.value, got.se) == mc
+            got = lattice_tail_prob(sigma2, lp, samples=samples, seed=seed)
+            assert (got.value, got.se) == tail
+
+
+@pytest.mark.parametrize("samples", [B + 1, 1_000_000, 2_000_000, 2_500_000])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_a_call_runs_at_most_one_thread_per_cpu(monkeypatch, samples, cpus):
+    # threads the call starts and has alive at once, seen from every block's
+    # kernel: at most one per CPU, and one fewer while the caller draws
+    monkeypatch.setattr(_shards, "_cpus", lambda: cpus)
+    base = threading.active_count()
+    peak, started = [0], []
+    fine = lattice_mod._fine
+
+    def counting_fine(x, n):
+        peak[0] = max(peak[0], threading.active_count() - base)
+        return fine(x, n)
+
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(lattice_mod, "_fine", counting_fine)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    shards = -(-samples // lattice_mod.SHARD_SIZE)
+    workers = min(shards, cpus)
+    helpers = workers if 2 * workers <= cpus else 0  # every shard here has 2+ blocks
+    for call in (lattice_mc_distortion, lattice_tail_prob):
+        call(1e4, LatticePair(8, 4), samples=samples, seed=1)
+        assert peak[0] <= (cpus - 1 if shards == 1 else cpus)
+        assert threading.active_count() == base
+    assert len(started) == 2 * ((workers if workers > 1 else 0) + helpers)
+    if cpus == 1:
+        assert started == []
+
+
+@pytest.mark.parametrize("call", [lattice_mc_distortion, lattice_tail_prob])
+def test_a_million_sample_call_peaks_below_12_mib(call):
+    # the whole-array shards peaked at 30.5 MiB: four 8 MB arrays
+    call(1e4, LatticePair(8, 4), samples=1_000_000, seed=1)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        call(1e4, LatticePair(8, 4), samples=1_000_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 @pytest.mark.parametrize("n, m", [(1, 0), (0, 3), (3, 1), (8, 4), (5, 6)])

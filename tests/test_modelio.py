@@ -119,6 +119,26 @@ def test_parse_binary_validation():
         parse_model({"binary_tree": {"root_var": "1", "nodes": []}})
 
 
+def _binary_obj(level=2, pos=1, padding=()):
+    return {"binary_tree": {"depth": 2, "root_var": "1", "padding": list(padding), "nodes": [
+        {"level": level, "pos": pos, "alpha": "0.9", "noise_var": "0.19"},
+        {"level": 2, "pos": 2, "alpha": "0.7", "noise_var": "0.51"},
+    ]}}
+
+
+@pytest.mark.parametrize("obj", [
+    _binary_obj(level="x"), _binary_obj(level=2.7), _binary_obj(level=2.0),
+    _binary_obj(level=None), _binary_obj(pos="1"), _binary_obj(pos=0),
+    _binary_obj(padding=["x"]), _binary_obj(padding=[1.5]), _binary_obj(padding=[-1]),
+])
+def test_binary_positions_must_be_integers(obj):
+    # "x" was a bare ValueError; 2.7 was truncated to 2 and parsed
+    with pytest.raises(ModelError) as e:
+        parse_model(obj)
+    assert e.value.code == "bad-model"
+    assert parse_model(_binary_obj(padding=[2])).padding == {2}
+
+
 @pytest.mark.parametrize("obj", [
     {"covariance": {"labels": ["a", "b"], "matrix": [["1", "1e400"], ["1e400", "1"]]}},
     {"tree": {"nodes": [{"id": "r", "parent": None},
