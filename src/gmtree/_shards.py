@@ -12,7 +12,8 @@ A shard may stream its draws through cache-sized blocks (``run_blocks``).
 When the pool leaves each shard a CPU to spare, as it does for a single shard
 on two or more usable CPUs, a helper thread does each block's arithmetic
 while the shard's own thread draws the next block; otherwise the blocks run
-inline. Either way one thread at most runs per usable CPU, and the blocks'
+inline, since a helper with no CPU of its own only contends with the shard
+threads (on one CPU it was a few percent slower than inline). Either way one thread at most runs per usable CPU, and the blocks'
 results come back in block order, so the bits do not depend on which ran.
 """
 
