@@ -23,6 +23,7 @@ the tree node indexing.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import combinations
@@ -495,6 +496,15 @@ def _chain_search(ctx: ChannelContext, d, perm, weights, repairs: dict, **search
     return repaired(best_x), best_f
 
 
+def _check_warm(warm, m: int) -> list[float]:
+    """A warm start as m floats, NaN entries as 0 (``repair`` reads them so);
+    anything but one real number per leaf is refused (``bad-warm``)."""
+    entries = list(warm) if isinstance(warm, Iterable) else []
+    if len(entries) != m or not all(isinstance(v, numbers.Real) for v in entries):
+        raise ModelError(f"a warm start must be {m} numbers, one per leaf", code="bad-warm")
+    return [0.0 if math.isnan(v) else float(v) for v in entries]
+
+
 def min_weighted_sum(
     tree: BinaryTreeSource,
     weights,
@@ -513,21 +523,19 @@ def min_weighted_sum(
     vertex of the descending-weight permutation. Multi-start coordinate
     descent with ``starts`` starts drawn from ``seed`` (the sweep cap and
     stopping tolerance are ``_search``'s SWEEPS and TOL); results are
-    deterministic for a fixed seed. ``warm``, a direction, joins the starts.
+    deterministic for a fixed seed. ``warm``, a direction (m numbers,
+    ``bad-warm``), joins the starts.
     ``starts`` must be an integer >= 1 (``bad-budget``) at any d.
     """
     starts = check_count(starts, "starts", code="bad-budget")
     ctx = _ctx if _ctx is not None else ChannelContext(tree)
     m = ctx.m
     w = check_weights(weights, m)
+    warm = None if warm is None else _check_warm(warm, m)
     perm = weight_order(w)
     if _silent_meets(ctx, d):
         return InnerSolution(0.0, np.zeros(m), np.zeros(m), ctx.root_var, tuple(perm))
-    extra = []
-    if warm is not None:
-        warm = list(map(float, warm))
-        if len(warm) == m and max(warm) > 0:
-            extra.append(warm)
+    extra = [warm] if warm is not None and max(warm) > 0 else []
     found = _chain_search(ctx, d, perm, w, {}, starts=starts, seed=seed, extra_starts=extra)
     if found is None:
         raise DomainError(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._shards import map_shards, run_blocks
+from ._shards import BLOCK, map_shards, run_blocks
 from .errors import DomainError, ModelError, check_distortion, check_finite
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1_000_000
-_BLOCK = 1 << 16  # draws per block: 2^15-2^17 ran alike on a 2-vCPU Xeon, 2^18 slower
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def _pair_blocks(rng, size: int, sigma2: float, overlap: bool, kernel):
     (``run_blocks``).
     """
     x2 = rng.standard_normal(size)
-    n = min(size, _BLOCK)
+    n = min(size, BLOCK)
     z1, x1, tmp = (np.empty(n), np.empty(n)), np.empty(n), np.empty(n)
     a = math.sqrt(sigma2 - 0.25)
 
@@ -168,7 +167,7 @@ def _pair_blocks(rng, size: int, sigma2: float, overlap: bool, kernel):
         y2 -= t
         return kernel(y1, y2, z, t)
 
-    return x2, run_blocks(fill, work, size, _BLOCK, overlap)
+    return x2, run_blocks(fill, work, size, BLOCK, overlap)
 
 
 def _mc_block(x1, x2, x3, tmp, lp: LatticePair) -> None:

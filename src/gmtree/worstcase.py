@@ -8,12 +8,18 @@ estimation only sees second moments. ``llse_equivalence_check`` runs that
 comparison as a Monte Carlo experiment.
 
 The draws are cut into shards of ``SHARD_SIZE`` samples, each with its own
-spawned seed, so the streams are fixed by the seed and ``SHARD_SIZE``, not by
-the thread count. The shards of one call run on worker threads and reuse a
-few buffers each; their partial sums are merged in shard order, so the
-report does not depend on how many threads ran them. A callable innovation
-sampler may therefore run on several threads at once, each call with its own
-generator.
+spawned seed, so the streams are fixed by the seed, ``SHARD_SIZE`` and
+``_shards.BLOCK``, not by the thread count. The shards of one call run on
+worker threads. Each shard runs inline in blocks of ``BLOCK`` samples: a
+block draws the root's innovations, then each noisy node's in heap order,
+then each leaf's channel normals, into one reused state array and one
+scratch array, and its error and moment sums are added to the shard's in
+block order (a shard of one block draws as a whole-shard draw would). The
+shards' sums are merged in shard order, so the report does not depend on how
+many threads ran them. A callable innovation sampler may therefore run on
+several threads at once, each call with its own generator; each call must
+return a 1-d array of that many real numbers (``bad-distribution``), and a
+draw that makes the sums non-finite is a ``sampler-mismatch``.
 """
 
 import math
@@ -23,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._shards import map_shards
+from ._shards import BLOCK, map_shards
 from .errors import DomainError, ModelError
 from .gauss import llse_coefficients
 from .inner import build_joint, _check_alpha
@@ -96,56 +102,67 @@ class LlseReport:
         return abs(self.gap) <= 3.0 * self.se
 
 
-def _sample_states(tree: BinaryTreeSource, innov, rng, size: int) -> list:
-    """Tree-structural draw: same recursion as the Gaussian source, alternate
-    iid innovations (zero mean, unit variance) at every node with noise.
-
-    Returns the node states by heap index (entry 0 unused); the innovations
-    are drawn in heap order, so level by level.
-    """
-    x = [None, math.sqrt(tree.root_var) * innov(rng, size)]
-    for n in range(2, 2 * tree.leaf_count):
-        val = tree.heap_alpha[n] * x[n // 2]
-        nv = tree.heap_noise[n]
-        if nv > 0.0:
-            val += math.sqrt(nv) * innov(rng, size)
-        x.append(val)
-    return x
+def _draw(innov, rng, size: int) -> np.ndarray:
+    """One block's innovations; a sampler must return ``size`` real numbers
+    as a 1-d array (``bad-distribution``)."""
+    z = innov(rng, size)
+    if not isinstance(z, np.ndarray) or z.shape != (size,) or z.dtype.kind not in "fiu":
+        raise ModelError(
+            f"an innovation sampler must return a 1-d array of {size} real numbers, "
+            f"not {type(z).__name__} of shape {np.shape(z)}",
+            code="bad-distribution",
+        )
+    return z
 
 
-def _llse_shard(rng, size: int, tree, innov, heap, a, chan_sd, w):
-    """Error sums and node-moment sums of one shard.
+def _llse_shard(rng, size: int, tree, innov, heap, a, chan_sd, w) -> np.ndarray:
+    """Error sums and node-moment sums of one shard, streamed through blocks.
 
-    Returns (sum e, sum e^2, [(sum p, sum p^2) for each moment]) with e the
+    Returns [sum e, sum e^2, then sum p, sum p^2 for each moment] with e the
     squared estimation error of the root and p the product of two of the
     root and leaf states, the moments in row order of the upper triangle.
+
+    A block's node states follow the Gaussian source's recursion with
+    alternate iid innovations (zero mean, unit variance) at every node with
+    noise; they sit by heap index in the state array, whose row 0 takes the
+    residual.
     """
-    states = _sample_states(tree, innov, rng, size)
-    vecs = [states[n] for n in heap]
-    resid = None  # becomes sum_i w_i u_i, u_i = a_i leaf_i + channel noise
-    for i, leaf in enumerate(vecs[1:]):
-        u = rng.standard_normal(size)
-        u *= chan_sd[i]
-        u += a[i] * leaf
-        u *= w[i]
-        if resid is None:
-            resid = u
-        else:
-            resid += u
-    np.subtract(vecs[0], resid, out=resid)
-    resid *= resid
-    err = float(resid.sum())
-    resid *= resid
-    err_sq = float(resid.sum())
-    prod = np.empty(size, np.result_type(*vecs))
-    moments = []
-    for r in range(len(vecs)):
-        for c in range(r, len(vecs)):
-            np.multiply(vecs[r], vecs[c], out=prod)
-            total = float(prod.sum())
-            prod *= prod
-            moments.append((total, float(prod.sum())))
-    return err, err_sq, moments
+    m = tree.leaf_count
+    n = min(size, BLOCK)
+    state, scratch = np.empty((2 * m, n)), np.empty((2, n))
+    pairs = [(heap[r], heap[c]) for r in range(len(heap)) for c in range(r, len(heap))]
+    sums = np.zeros(2 + 2 * len(pairs))
+    for lo in range(0, size, n):
+        k = min(n, size - lo)
+        x = state[:, :k]
+        u, tmp = scratch[:, :k]
+        np.multiply(_draw(innov, rng, k), math.sqrt(tree.root_var), out=x[1])
+        for node in range(2, 2 * m):
+            np.multiply(x[node // 2], tree.heap_alpha[node], out=x[node])
+            nv = tree.heap_noise[node]
+            if nv > 0.0:
+                x[node] += np.multiply(_draw(innov, rng, k), math.sqrt(nv), out=tmp)
+        resid = x[0]  # becomes sum_i w_i u_i, u_i = a_i leaf_i + channel noise
+        for i in range(m):
+            ui = resid if i == 0 else u
+            rng.standard_normal(out=ui)
+            ui *= chan_sd[i]
+            ui += np.multiply(x[heap[1 + i]], a[i], out=tmp)
+            ui *= w[i]
+            if i:
+                resid += ui
+        np.subtract(x[1], resid, out=resid)
+        resid *= resid
+        block = [resid.sum()]
+        resid *= resid
+        block.append(resid.sum())
+        for r, c in pairs:
+            np.multiply(x[r], x[c], out=u)
+            block.append(u.sum())
+            u *= u
+            block.append(u.sum())
+        sums += block
+    return sums
 
 
 def llse_equivalence_check(
@@ -190,14 +207,20 @@ def llse_equivalence_check(
     parts = map_shards(
         partial(_llse_shard, tree=tree, innov=innov, heap=heap, a=a, chan_sd=chan_sd, w=w),
         samples, SHARD_SIZE, seed)
-    mse = math.fsum(p[0] for p in parts) / samples
-    var = max(math.fsum(p[1] for p in parts) / samples - mse * mse, 0.0)
-    se = math.sqrt(var / samples)
-
     pairs = [(r, c) for r in range(nm) for c in range(r, nm)]
     mom = np.zeros((len(pairs), 2))  # per moment: sum of products, of their squares
-    for _, _, moments in parts:
-        mom += moments
+    for p in parts:
+        mom += p[2:].reshape(-1, 2)
+    err = math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts)
+    if not (all(map(math.isfinite, err)) and np.isfinite(mom).all()):
+        raise DomainError(
+            "alternate sampler drew a value that is not a finite number",
+            code="sampler-mismatch",
+        )
+    mse = err[0] / samples
+    var = max(err[1] / samples - mse * mse, 0.0)
+    se = math.sqrt(var / samples)
+
     dev = 0.0
     for (r, c), (total, sq) in zip(pairs, mom):
         mean = total / samples
@@ -215,4 +238,4 @@ def llse_equivalence_check(
             f"alternate sampler covariance is off by {dev:.1f} standard errors",
             code="sampler-mismatch",
         )
-    return LlseReport(name, samples, gaussian_mmse, mse, se, dev)
+    return LlseReport(name, samples, gaussian_mmse, mse, se, float(dev))

@@ -76,6 +76,8 @@ CALLS = {
     "gaussian samples": lambda v: sample_gaussian(np.eye(2), v, 0),
     "llse samples": lambda v: llse_equivalence_check(TREE, [0.8, 0.6], samples=v),
     "inner starts": lambda v: min_weighted_sum(TREE, [1.0, 1.0], 0.5, starts=v),
+    "inner warm entry": lambda v: min_weighted_sum(TREE, [1.0, 1.0], 0.5, starts=1, warm=[v, 1.0]),
+    "inner warm start": lambda v: min_weighted_sum(TREE, [1.0, 1.0], 0.5, starts=1, warm=[v, v]),
     "slice starts": lambda v: region_slice(TREE, 0.5, (1, 2), points=2, starts=v),
     "matchup starts": lambda v: matchup_verify(TREE, 0.5, [[1.0, 1.0]], starts=v),
     "slice points": lambda v: region_slice(TREE, 0.5, (1, 2), points=v, starts=1),

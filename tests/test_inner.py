@@ -723,3 +723,23 @@ def test_budget_is_checked_before_the_silent_channel(small_tree, d):
             call()
         assert err.value.code == "bad-budget"
         assert "positive" in str(err.value)
+
+
+@pytest.mark.parametrize("warm", [[1.0], [0.5, 0.5, 0.5], "ab", 1.0, [None, 1.0], [1j, 1.0]])
+def test_a_malformed_warm_start_is_refused(small_tree, warm):
+    # a warm start of the wrong length was dropped silently, "ab" gave a bare
+    # ValueError; d = 2 is above the root variance, where the silent channel meets it
+    for d in (0.5, 2.0):
+        with pytest.raises(ModelError) as err:
+            min_weighted_sum(small_tree, [1.0, 1.0], d, starts=1, warm=warm)
+        assert err.value.code == "bad-warm"
+
+
+def test_a_nan_warm_entry_means_zero(small_tree):
+    # NaN entries are zeros, as repair reads them, wherever they sit; a
+    # leading NaN used to drop the warm start (0.694 here against 0.647)
+    for warm in ([math.nan, 0.3], [0.3, math.nan]):
+        zeroed = [0.0 if math.isnan(v) else v for v in warm]
+        got = min_weighted_sum(small_tree, [1.0, 0.1], 0.3, starts=1, warm=warm)
+        want = min_weighted_sum(small_tree, [1.0, 0.1], 0.3, starts=1, warm=zeroed)
+        assert (got.value, list(got.alpha)) == (want.value, list(want.alpha))

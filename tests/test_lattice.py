@@ -224,7 +224,7 @@ def _whole_tail(sigma2, lp, samples, seed):
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / samples)
 
 
-B = lattice_mod._BLOCK
+B = _shards.BLOCK
 
 
 @pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 3 * B + 5, 1_000_000, 2_000_000, 2_500_000])

@@ -23,6 +23,7 @@ from gmtree import (
     matchup_verify,
     max_root_rate,
     min_weighted_sum,
+    rank_f,
     rd_out_min_weighted,
     rd_out_subset_bound,
     reroot,
@@ -229,6 +230,33 @@ def test_equality_rates_meet_the_chain_vertex_exactly(case):
         else:
             want = 0.5 * math.log((ai * ai * noise + (1 - ai * ai) * var) / ((1 - ai * ai) * var))
         assert abs(r[leaf] - want) <= 1e-12
+
+
+def _identity_trees():
+    """Six random trees at each of depths 2-4, and figure_tree reduced at x1
+    and at b: 12 padding leaves of 16, with copy edges."""
+    fig = load_model(fixture_path("figure_tree"))
+    return ([random_binary_tree(L, seed) for L in (2, 3, 4) for seed in range(6)]
+            + [binarize(reroot(fig, target))[0] for target in ("x1", "b")])
+
+
+@pytest.mark.parametrize("k, tree", list(enumerate(_identity_trees())))
+def test_equality_rates_meet_the_rank_function_on_every_subset(k, tree):
+    # the outer bound at equality rates is the inner rank function, exactly,
+    # on every nonempty set of real leaves. The 1e-14 absolute term covers
+    # ranks near 0: against a 50-digit reference, a singleton rank of 1.2e-3
+    # (alpha 0.052, k = 13) is off by 2.3e-12 relative (2.7e-15) in the bound
+    # and by 3e-16 relative in rank_f
+    m = tree.leaf_count
+    rng = np.random.default_rng(k)
+    a = [0.0 if i in tree.padding else float(rng.uniform(0.05, 0.95)) for i in range(1, m + 1)]
+    r = equality_rates(tree, a)
+    joint = build_joint(tree, a)
+    real = [i for i in range(1, m + 1) if i not in tree.padding]
+    for size in range(1, len(real) + 1):
+        for A in itertools.combinations(real, size):
+            want = rank_f(joint, A)
+            assert abs(rd_out_subset_bound(tree, r, A) - want) <= 1e-12 * want + 1e-14, A
 
 
 def test_pinned_root_meets_the_distortion_on_a_padded_tree():

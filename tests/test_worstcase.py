@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -91,8 +92,14 @@ def test_alpha_validation(small_tree):
                                samples=1000, seed=0)
 
 
-def _ref_llse(tree, a, innov, samples, seed, shard_size=250_000):
-    """Serial, out-of-place check: (empirical MSE, se, cov_max_dev)."""
+B = _shards.BLOCK
+
+
+def _ref_llse(tree, a, innov, samples, seed, shard_size=250_000, block=B):
+    """Serial, out-of-place check: (empirical MSE, se, cov_max_dev), or
+    "sampler-mismatch" where the covariance gate fires. Each shard runs in
+    blocks of ``block`` samples whose sums are added in block order; a shard
+    of one block is the whole-shard draw."""
     m = tree.leaf_count
     joint = build_joint(tree, a)
     W, _ = llse_coefficients(joint.matrix, [0], list(range(2 * m - 1, 3 * m - 1)))
@@ -108,25 +115,33 @@ def _ref_llse(tree, a, innov, samples, seed, shard_size=250_000):
     done = 0
     seq = np.random.SeedSequence(seed)
     while done < samples:
-        size = min(shard_size, samples - done)
+        shard = min(shard_size, samples - done)
         rng = np.random.default_rng(seq.spawn(1)[0])
-        x = [None, math.sqrt(tree.root_var) * innov(rng, size)]
-        for n in range(2, 2 * m):
-            val = tree.heap_alpha[n] * x[n // 2]
-            if tree.heap_noise[n] > 0.0:
-                val = val + math.sqrt(tree.heap_noise[n]) * innov(rng, size)
-            x.append(val)
-        vecs = [x[n] for n in heap]
-        u = [a[i] * vecs[1 + i] + chan_sd[i] * rng.standard_normal(size) for i in range(m)]
-        e = (vecs[0] - sum(w[i] * u[i] for i in range(m))) ** 2
-        err_sum.append(float(e.sum()))
-        err_sq.append(float((e * e).sum()))
-        for r in range(nm):
-            for c in range(r, nm):
-                prod = vecs[r] * vecs[c]
-                mom_sum[r, c] += float(prod.sum())
-                mom_sq[r, c] += float((prod * prod).sum())
-        done += size
+        shard_err, shard_sq = 0.0, 0.0
+        shard_mom, shard_mom_sq = np.zeros((nm, nm)), np.zeros((nm, nm))
+        for lo in range(0, shard, block):
+            size = min(block, shard - lo)
+            x = [None, math.sqrt(tree.root_var) * innov(rng, size)]
+            for n in range(2, 2 * m):
+                val = tree.heap_alpha[n] * x[n // 2]
+                if tree.heap_noise[n] > 0.0:
+                    val = val + math.sqrt(tree.heap_noise[n]) * innov(rng, size)
+                x.append(val)
+            vecs = [x[n] for n in heap]
+            u = [a[i] * vecs[1 + i] + chan_sd[i] * rng.standard_normal(size) for i in range(m)]
+            e = (vecs[0] - sum(w[i] * u[i] for i in range(m))) ** 2
+            shard_err += float(e.sum())
+            shard_sq += float((e * e).sum())
+            for r in range(nm):
+                for c in range(r, nm):
+                    prod = vecs[r] * vecs[c]
+                    shard_mom[r, c] += float(prod.sum())
+                    shard_mom_sq[r, c] += float((prod * prod).sum())
+        err_sum.append(shard_err)
+        err_sq.append(shard_sq)
+        mom_sum += shard_mom
+        mom_sq += shard_mom_sq
+        done += shard
     mse = math.fsum(err_sum) / samples
     se = math.sqrt(max(math.fsum(err_sq) / samples - mse * mse, 0.0) / samples)
     dev = 0.0
@@ -134,23 +149,82 @@ def _ref_llse(tree, a, innov, samples, seed, shard_size=250_000):
         for c in range(r, nm):
             mean = mom_sum[r, c] / samples
             mom_se = math.sqrt(max(mom_sq[r, c] / samples - mean * mean, 0.0) / samples)
-            dev = max(dev, abs(mean - K[r, c]) / mom_se)
+            if mom_se > 0.0:
+                dev = max(dev, abs(mean - K[r, c]) / mom_se)
+            elif abs(mean - K[r, c]) > 1e-12:
+                dev = math.inf
+    k = nm * (nm + 1) // 2
+    if dev > NormalDist().inv_cdf(1.0 - NormalDist().cdf(-3.0) / k):
+        return "sampler-mismatch"
     return mse, se, dev
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
+def _report(tree, alpha, dist, samples, seed):
+    try:
+        rep = llse_equivalence_check(tree, alpha, dist, samples=samples, seed=seed)
+    except DomainError as err:
+        return err.code
+    return rep.empirical_mse, rep.se, rep.cov_max_dev
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_report_equals_the_serial_out_of_place_reference(monkeypatch, small_tree, cpus):
-    # 600k samples: two full shards and a partial one, run on 1 or on 4 threads
+    # up to one block is the whole-shard draw (one sample has no moment SE, so
+    # the gate fires); 600k is two full shards and a partial one, 1M four full
+    # ones; on 1 CPU they run in turn, on 2 or 4 on a thread pool
     monkeypatch.setattr(_shards, "_cpus", lambda: cpus)
     deep = random_binary_tree(3, 77)
     deep_alpha = [float(x) for x in np.random.default_rng(5).uniform(0.3, 0.9, 4)]
     custom = lambda rng, size: rng.normal(0.0, 1.0, size)  # noqa: E731
-    for tree, alpha, dist in ((small_tree, [0.8, 0.6], "laplace"),
-                              (small_tree, [0.7, 0.5], custom),
-                              (deep, deep_alpha, "uniform")):
-        rep = llse_equivalence_check(tree, alpha, dist, samples=600_000, seed=4)
-        want = _ref_llse(tree, alpha, alternate_sampler(dist), 600_000, 4)
-        assert (rep.empirical_mse, rep.se, rep.cov_max_dev) == want
+    for samples in (1, B - 1, B, B + 1, 3 * B + 5, 600_000, 1_000_000):
+        seed = samples % 11
+        for tree, alpha, dist in ((small_tree, [0.8, 0.6], "laplace"),
+                                  (small_tree, [0.7, 0.5], custom),
+                                  (deep, deep_alpha, "uniform")):
+            want = _ref_llse(tree, alpha, alternate_sampler(dist), samples, seed)
+            assert _report(tree, alpha, dist, samples, seed) == want, samples
+
+
+def test_a_million_sample_llse_call_peaks_below_12_mib(monkeypatch, small_tree):
+    # two shards at a time; the whole-shard arrays peaked at 22.9 MiB
+    monkeypatch.setattr(_shards, "_cpus", lambda: 2)
+    args = (small_tree, [0.8, 0.6], "laplace")
+    llse_equivalence_check(*args, samples=1_000_000, seed=1)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        llse_equivalence_check(*args, samples=1_000_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, size: rng.standard_normal(10),
+    lambda rng, size: rng.standard_normal((size, 1)),
+    lambda rng, size: list(rng.standard_normal(size)),
+    lambda rng, size: rng.standard_normal(size) * 1j,
+], ids=["short", "column", "list", "complex"])
+def test_a_sampler_of_the_wrong_shape_or_type_is_refused(small_tree, draw):
+    with pytest.raises(ModelError) as err:
+        llse_equivalence_check(small_tree, [0.8, 0.6], draw, samples=2000)
+    assert err.value.code == "bad-distribution"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_sampler_is_a_mismatch(small_tree, bad):
+    # every moment comparison with NaN is false: the covariance gate alone
+    # would let it through
+    with pytest.raises(DomainError) as err:
+        llse_equivalence_check(small_tree, [0.8, 0.6], lambda rng, size: np.full(size, bad),
+                               samples=2000)
+    assert err.value.code == "sampler-mismatch"
+
+
+def test_report_fields_are_plain_floats(small_tree):
+    rep = llse_equivalence_check(small_tree, [0.8, 0.6], "uniform", samples=2000)
+    for v in (rep.gaussian_mmse, rep.empirical_mse, rep.se, rep.cov_max_dev):
+        assert type(v) is float
 
 
 def test_sampler_gate_is_family_wise():
