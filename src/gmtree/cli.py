@@ -11,6 +11,7 @@ Rates are reported in nats and bits.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -464,6 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built at the first."""
+    return build_parser()
+
+
 def _fail(exc: GmtreeError, status: int) -> int:
     json.dump({"error": str(exc), "code": exc.code}, sys.stderr, sort_keys=True)
     sys.stderr.write("\n")
@@ -472,8 +479,7 @@ def _fail(exc: GmtreeError, status: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ModelError as e:
         return _fail(e, 2)

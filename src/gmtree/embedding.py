@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .gauss import Cov, check_cov
+from .gauss import check_cov
 from .rational import rat_inv, rat_matrix
 from .trees import MarkovTree, TreeNode
 
@@ -112,8 +112,8 @@ class TripleViolation(NamedTuple):
     value: float
 
 
-def _correlations(K) -> np.ndarray:
-    M = check_cov(K, "embeddability input")
+def _correlations(M: np.ndarray) -> np.ndarray:
+    """Unit-variance correlations of a covariance that check_cov returned."""
     d = np.sqrt(np.diag(M))
     with np.errstate(divide="ignore", invalid="ignore"):
         R = M / np.outer(d, d)
@@ -122,16 +122,8 @@ def _correlations(K) -> np.ndarray:
     return np.clip(R, -1.0, 1.0)
 
 
-def check_embed_conditions(K, tol: float = _COND_TOL) -> list[TripleViolation]:
-    """Necessary correlation conditions for living on a Gauss-Markov tree.
-
-    After normalizing to unit variances, every triple must satisfy
-    |rho_ik| >= |rho_ij rho_jk| for each choice of center j, and the product
-    rho_ij rho_jk rho_ik must be nonnegative. Returns the violations (empty
-    means the conditions hold; for N = 3 that settles embeddability, for
-    larger N it is necessary only).
-    """
-    R = _correlations(K)
+def _violations(R: np.ndarray, tol: float) -> list[TripleViolation]:
+    """The triple conditions of check_embed_conditions on correlations R."""
     n = R.shape[0]
     out = []
     for i in range(n):
@@ -151,6 +143,18 @@ def check_embed_conditions(K, tol: float = _COND_TOL) -> list[TripleViolation]:
     return out
 
 
+def check_embed_conditions(K, tol: float = _COND_TOL) -> list[TripleViolation]:
+    """Necessary correlation conditions for living on a Gauss-Markov tree.
+
+    After normalizing to unit variances, every triple must satisfy
+    |rho_ik| >= |rho_ij rho_jk| for each choice of center j, and the product
+    rho_ij rho_jk rho_ik must be nonnegative. Returns the violations (empty
+    means the conditions hold; for N = 3 that settles embeddability, for
+    larger N it is necessary only).
+    """
+    return _violations(_correlations(check_cov(K, "embeddability input")), tol)
+
+
 def embed3(K, labels=("x1", "x2", "x3")) -> MarkovTree:
     """Embed three jointly Gaussian variables into a hidden-star tree.
 
@@ -162,12 +166,12 @@ def embed3(K, labels=("x1", "x2", "x3")) -> MarkovTree:
     M = check_cov(K, "embed3 input")
     if M.shape != (3, 3):
         raise ModelError("embed3 expects a 3x3 covariance", code="bad-shape")
-    bad = check_embed_conditions(M)
+    R = _correlations(M)
+    bad = _violations(R, _COND_TOL)
     if bad:
         raise DomainError(
             f"triple conditions violated: {bad[0]}", code="not-embeddable"
         )
-    R = _correlations(M)
     r12, r13, r23 = R[0, 1], R[0, 2], R[1, 2]
     zeros = [abs(v) == 0.0 for v in (r12, r13, r23)]
 
@@ -234,7 +238,7 @@ def converse_witness(K) -> Witness | None:
     M = check_cov(K, "converse input")
     if M.shape != (3, 3):
         raise ModelError("converse_witness expects a 3x3 covariance", code="bad-shape")
-    if not check_embed_conditions(M):
+    if not _violations(_correlations(M), _COND_TOL):
         return None
     scale = float(np.max(np.abs(M)))
     for t in range(3):

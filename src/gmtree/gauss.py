@@ -21,7 +21,6 @@ from .errors import ModelError, check_count
 
 __all__ = [
     "Cov",
-    "check_cov",
     "conditional_cov",
     "gaussian_cmi",
     "llse_coefficients",

@@ -33,7 +33,6 @@ __all__ = [
     "cov_to_obj",
     "tree_to_obj",
     "binary_to_obj",
-    "fmt",
 ]
 
 _MODEL_KEYS = ("covariance", "tree", "binary_tree")

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, ModelError, check_count, check_finite
-from .gauss import Cov, check_cov
+from .gauss import Cov
 
 __all__ = [
     "TreeNode",

@@ -132,36 +132,39 @@ def _llse_shard(rng, size: int, tree, innov, heap, a, chan_sd, w) -> np.ndarray:
     state, scratch = np.empty((2 * m, n)), np.empty((2, n))
     pairs = [(heap[r], heap[c]) for r in range(len(heap)) for c in range(r, len(heap))]
     sums = np.zeros(2 + 2 * len(pairs))
-    for lo in range(0, size, n):
-        k = min(n, size - lo)
-        x = state[:, :k]
-        u, tmp = scratch[:, :k]
-        np.multiply(_draw(innov, rng, k), math.sqrt(tree.root_var), out=x[1])
-        for node in range(2, 2 * m):
-            np.multiply(x[node // 2], tree.heap_alpha[node], out=x[node])
-            nv = tree.heap_noise[node]
-            if nv > 0.0:
-                x[node] += np.multiply(_draw(innov, rng, k), math.sqrt(nv), out=tmp)
-        resid = x[0]  # becomes sum_i w_i u_i, u_i = a_i leaf_i + channel noise
-        for i in range(m):
-            ui = resid if i == 0 else u
-            rng.standard_normal(out=ui)
-            ui *= chan_sd[i]
-            ui += np.multiply(x[heap[1 + i]], a[i], out=tmp)
-            ui *= w[i]
-            if i:
-                resid += ui
-        np.subtract(x[1], resid, out=resid)
-        resid *= resid
-        block = [resid.sum()]
-        resid *= resid
-        block.append(resid.sum())
-        for r, c in pairs:
-            np.multiply(x[r], x[c], out=u)
-            block.append(u.sum())
-            u *= u
-            block.append(u.sum())
-        sums += block
+    # a non-finite or overflowing draw turns the sums to inf or NaN, which
+    # the caller refuses as sampler-mismatch; numpy need not warn on the way
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, size, n):
+            k = min(n, size - lo)
+            x = state[:, :k]
+            u, tmp = scratch[:, :k]
+            np.multiply(_draw(innov, rng, k), math.sqrt(tree.root_var), out=x[1])
+            for node in range(2, 2 * m):
+                np.multiply(x[node // 2], tree.heap_alpha[node], out=x[node])
+                nv = tree.heap_noise[node]
+                if nv > 0.0:
+                    x[node] += np.multiply(_draw(innov, rng, k), math.sqrt(nv), out=tmp)
+            resid = x[0]  # becomes sum_i w_i u_i, u_i = a_i leaf_i + channel noise
+            for i in range(m):
+                ui = resid if i == 0 else u
+                rng.standard_normal(out=ui)
+                ui *= chan_sd[i]
+                ui += np.multiply(x[heap[1 + i]], a[i], out=tmp)
+                ui *= w[i]
+                if i:
+                    resid += ui
+            np.subtract(x[1], resid, out=resid)
+            resid *= resid
+            block = [resid.sum()]
+            resid *= resid
+            block.append(resid.sum())
+            for r, c in pairs:
+                np.multiply(x[r], x[c], out=u)
+                block.append(u.sum())
+                u *= u
+                block.append(u.sum())
+            sums += block
     return sums
 
 

@@ -494,3 +494,27 @@ def test_non_positive_budget_is_refused_where_no_search_runs(cmd, flag):
     assert json.loads(r.stderr)["code"] == "bad-budget"
     assert "positive" in r.stderr
     assert r.stdout == ""
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from gmtree import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    model = fixture_path("allquarter3")
+    out = []
+    try:
+        for cmd in ("embed-check", "embed3", "embed-check"):
+            assert cli.main([cmd, model]) == 0
+            out.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert out[0] == out[2] and out[0] != out[1]

@@ -12,6 +12,7 @@ from gmtree import (
     markov_graph_exact,
     tree_to_cov,
 )
+from gmtree import embedding as embedding_mod
 from gmtree.rational import rat_inv, rat_matmul, rat_identity
 
 
@@ -158,3 +159,24 @@ def test_embed3_raises_on_violation():
     K = np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.5], [0.8, 0.5, 1.0]])
     with pytest.raises(DomainError):
         embed3(K)
+
+
+@pytest.mark.parametrize("fn", [check_embed_conditions, embed3, converse_witness])
+@pytest.mark.parametrize("K", [
+    [[1.0, 0.25, 0.25], [0.25, 1.0, 0.25], [0.25, 0.25, 1.0]],
+    [[1.0, 0.8, 0.8], [0.8, 1.0, 0.5], [0.8, 0.5, 1.0]],
+])
+def test_each_public_call_validates_its_input_once(monkeypatch, fn, K):
+    calls = []
+    check = embedding_mod.check_cov
+
+    def counted(*args):
+        calls.append(args[1])
+        return check(*args)
+
+    monkeypatch.setattr(embedding_mod, "check_cov", counted)
+    try:
+        fn(np.array(K))
+    except DomainError:
+        pass  # embed3 refuses the second matrix after validating it
+    assert len(calls) == 1, calls

@@ -211,10 +211,11 @@ def test_a_sampler_of_the_wrong_shape_or_type_is_refused(small_tree, draw):
     assert err.value.code == "bad-distribution"
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
 def test_a_non_finite_sampler_is_a_mismatch(small_tree, bad):
     # every moment comparison with NaN is false: the covariance gate alone
-    # would let it through
+    # would let it through; ±inf and 1e300 (whose square overflows) reach
+    # NaN or inf in the block arithmetic, which must raise no numpy warning
     with pytest.raises(DomainError) as err:
         llse_equivalence_check(small_tree, [0.8, 0.6], lambda rng, size: np.full(size, bad),
                                samples=2000)
