@@ -26,13 +26,13 @@ SWEEPS = 60  # most sweeps of one coordinate descent
 TOL = 1e-8  # a descent stops after a sweep that gains no more than this
 
 
-def golden_min(fn, lo: float, hi: float, iters: int = GOLDEN_ITERS):
-    """Golden-section minimum of fn on [lo, hi]; returns (x, fn(x)).
+def golden_min(fn, iters: int = GOLDEN_ITERS):
+    """Golden-section minimum of fn on [0, 1]; returns (x, fn(x)).
 
     Keeps the best evaluated point, so a non-unimodal section still returns
     something no worse than the samples seen.
     """
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
@@ -68,7 +68,7 @@ def coordinate_descent(fn, x0, coords, *, sweeps=SWEEPS, golden_iters=GOLDEN_ITE
                 y[_c] = v
                 return fn(y)
 
-            v, fv = golden_min(section, 0.0, 1.0, golden_iters)
+            v, fv = golden_min(section, golden_iters)
             if fv < fx:
                 x[c] = v
                 fx = fv

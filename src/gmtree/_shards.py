@@ -61,9 +61,9 @@ def map_shards(fn, samples: int, shard_size: int, seed: int, *, streamed: bool =
         return list(pool.map(fn, rngs, sizes))
 
 
-def run_blocks(fill, work, size: int, block: int, overlap: bool) -> list:
+def run_blocks(fill, work, size: int, overlap: bool) -> list:
     """Results of ``work(slot, lo, hi)`` for the blocks [lo, hi) of
-    ``range(size)``, ``block`` long but the last, in block order.
+    ``range(size)``, ``BLOCK`` long but the last, in block order.
 
     ``fill(slot, lo, hi)`` readies a block in buffer ``slot`` (0 or 1) on the
     calling thread, and ``work`` then reads it. With ``overlap`` the work
@@ -73,7 +73,7 @@ def run_blocks(fill, work, size: int, block: int, overlap: bool) -> list:
     scratch with itself but must touch nothing ``fill`` writes besides its
     own slot.
     """
-    bounds = [(lo, min(lo + block, size)) for lo in range(0, size, block)]
+    bounds = [(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK)]
     if not overlap or len(bounds) == 1:
         out = []
         for k, (lo, hi) in enumerate(bounds):

@@ -3,8 +3,9 @@
 Three layers:
 
 * ``markov_graph``: which conditional-independence graph do the variables
-  satisfy (zeros of the precision matrix), and is it a forest? An exact
-  rational twin is provided for fixtures entered as Fractions.
+  satisfy (zeros of the precision matrix), and is it a forest? Its exact
+  twin reads fixtures entered as Fractions free of any float tolerance, by
+  plain Gauss-Jordan on tiny matrices (zero pivots skipped, no other care).
 * ``check_embed_conditions``: the two correlation-triple conditions that are
   necessary for embeddability into some Gauss-Markov tree with the observed
   variables at (a subset of) the nodes, and sufficient at N = 3.
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError, ModelError
 from .gauss import check_cov
-from .rational import rat_inv, rat_matrix
 from .trees import MarkovTree, TreeNode
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 PRECISION_TOL = 1e-9  # relative threshold for a precision entry to count as an edge
-_COND_TOL = 1e-12
+_COND_TOL = 1e-12  # slack of the triple conditions on unit-variance correlations
 
 
 def _is_forest(adj: np.ndarray) -> bool:
@@ -59,12 +59,43 @@ def _is_forest(adj: np.ndarray) -> bool:
     return True
 
 
-def markov_graph(K, tol: float = PRECISION_TOL) -> tuple[np.ndarray, np.ndarray, bool]:
+def _rat_matrix(entries) -> list[list[Fraction]]:
+    """Deep-copy a square matrix into Fractions (accepts str/int/Fraction)."""
+    M = [[Fraction(e) for e in row] for row in entries]
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix is not square")
+    return M
+
+
+def _rat_inv(M) -> list[list[Fraction]]:
+    """Exact inverse via Gauss-Jordan; raises ZeroDivisionError when singular."""
+    n = len(M)
+    aug = [
+        [Fraction(M[i][j]) for j in range(n)]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular over the rationals")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def markov_graph(K) -> tuple[np.ndarray, np.ndarray, bool]:
     """Gaussian Markov graph read off the precision matrix, float path.
 
-    Edge (i, j) present iff |precision_ij| exceeds tol times the largest
-    absolute precision entry. Returns (precision matrix, boolean adjacency,
-    is_forest), mirroring markov_graph_exact. Raises DomainError for
+    Edge (i, j) present iff |precision_ij| exceeds PRECISION_TOL times the
+    largest absolute precision entry. Returns (precision matrix, boolean
+    adjacency, is_forest), mirroring markov_graph_exact. Raises DomainError for
     singular K (the precision matrix must exist).
     """
     M = check_cov(K, "markov_graph input")
@@ -79,7 +110,7 @@ def markov_graph(K, tol: float = PRECISION_TOL) -> tuple[np.ndarray, np.ndarray,
     # reject numerically singular inputs that inv() happened to survive
     if np.linalg.cond(M) > 1e14:
         raise DomainError("covariance is singular", code="singular-covariance")
-    adj = np.abs(P) > tol * top
+    adj = np.abs(P) > PRECISION_TOL * top
     np.fill_diagonal(adj, False)
     adj = adj | adj.T
     return P, adj, _is_forest(adj)
@@ -92,9 +123,9 @@ def markov_graph_exact(entries) -> tuple[list[list[Fraction]], np.ndarray, bool]
     (precision matrix as Fractions, boolean adjacency, is_forest); an edge is
     any exactly nonzero off-diagonal precision entry.
     """
-    M = rat_matrix(entries)
+    M = _rat_matrix(entries)
     try:
-        P = rat_inv(M)
+        P = _rat_inv(M)
     except ZeroDivisionError:
         raise DomainError("covariance is singular", code="singular-covariance")
     n = len(P)
@@ -122,7 +153,7 @@ def _correlations(M: np.ndarray) -> np.ndarray:
     return np.clip(R, -1.0, 1.0)
 
 
-def _violations(R: np.ndarray, tol: float) -> list[TripleViolation]:
+def _violations(R: np.ndarray) -> list[TripleViolation]:
     """The triple conditions of check_embed_conditions on correlations R."""
     n = R.shape[0]
     out = []
@@ -132,27 +163,27 @@ def _violations(R: np.ndarray, tol: float) -> list[TripleViolation]:
                 if j == i or j == k:
                     continue
                 gap = abs(R[i, k]) - abs(R[i, j] * R[j, k])
-                if gap < -tol:
+                if gap < -_COND_TOL:
                     out.append(TripleViolation((i, j, k), "magnitude", float(gap)))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 prod = R[i, j] * R[j, k] * R[i, k]
-                if prod < -tol:
+                if prod < -_COND_TOL:
                     out.append(TripleViolation((i, j, k), "sign", float(prod)))
     return out
 
 
-def check_embed_conditions(K, tol: float = _COND_TOL) -> list[TripleViolation]:
+def check_embed_conditions(K) -> list[TripleViolation]:
     """Necessary correlation conditions for living on a Gauss-Markov tree.
 
     After normalizing to unit variances, every triple must satisfy
     |rho_ik| >= |rho_ij rho_jk| for each choice of center j, and the product
-    rho_ij rho_jk rho_ik must be nonnegative. Returns the violations (empty
-    means the conditions hold; for N = 3 that settles embeddability, for
-    larger N it is necessary only).
+    rho_ij rho_jk rho_ik must be nonnegative, each up to _COND_TOL. Returns
+    the violations (empty means the conditions hold; for N = 3 that settles
+    embeddability, for larger N it is necessary only).
     """
-    return _violations(_correlations(check_cov(K, "embeddability input")), tol)
+    return _violations(_correlations(check_cov(K, "embeddability input")))
 
 
 def embed3(K, labels=("x1", "x2", "x3")) -> MarkovTree:
@@ -167,7 +198,7 @@ def embed3(K, labels=("x1", "x2", "x3")) -> MarkovTree:
     if M.shape != (3, 3):
         raise ModelError("embed3 expects a 3x3 covariance", code="bad-shape")
     R = _correlations(M)
-    bad = _violations(R, _COND_TOL)
+    bad = _violations(R)
     if bad:
         raise DomainError(
             f"triple conditions violated: {bad[0]}", code="not-embeddable"
@@ -238,7 +269,7 @@ def converse_witness(K) -> Witness | None:
     M = check_cov(K, "converse input")
     if M.shape != (3, 3):
         raise ModelError("converse_witness expects a 3x3 covariance", code="bad-shape")
-    if not _violations(_correlations(M), _COND_TOL):
+    if not _violations(_correlations(M)):
         return None
     scale = float(np.max(np.abs(M)))
     for t in range(3):

@@ -8,7 +8,8 @@ Each rule on a plain input is defined once, here, and every public entry
 point applies it: ``check_finite`` (a finite number, ``bad-number``),
 ``check_count`` (an integer >= 1: ``bad-samples`` for sample counts,
 ``bad-budget`` for search budgets), ``check_distortion`` (finite and
-positive) and ``check_weights``. The rules that need a model live with it:
+positive), ``check_tolerance`` (finite and >= 0, ``bad-tolerance``) and
+``check_weights``. The rules that need a model live with it:
 the channel in ``inner._check_alpha`` (``bad-channel``), the covariance in
 ``gauss.check_cov`` (``bad-covariance``) and the topology in
 ``trees.MarkovTree``'s validation walk.
@@ -71,6 +72,14 @@ def check_distortion(d) -> None:
     check_finite(d, "distortion")
     if d <= 0:
         raise DomainError("distortion must be positive", code="infeasible-distortion")
+
+
+def check_tolerance(tol) -> None:
+    """Refuse a tolerance that is not a finite number >= 0: a NaN one makes
+    every comparison against it pass or fail alike."""
+    check_finite(tol, "tolerance")
+    if tol < 0:
+        raise ModelError(f"tolerance must be >= 0, not {tol!r}", code="bad-tolerance")
 
 
 def check_weights(weights, m: int | None = None) -> list[float]:

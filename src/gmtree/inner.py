@@ -34,7 +34,8 @@ from numpy.linalg._umath_linalg import eigh_lo
 
 from . import gauss
 from ._search import multi_start
-from .errors import DomainError, ModelError, check_count, check_distortion, check_weights
+from .errors import (DomainError, ModelError, check_count, check_distortion, check_tolerance,
+                     check_weights)
 from .gauss import Cov, gaussian_cmi
 from .trees import BinaryTreeSource, binary_cov
 
@@ -165,9 +166,11 @@ def polymatroid_audit(f: RankFunction, tol: float = 1e-9):
     """Check nonnegativity, normalization, monotonicity, supermodularity.
 
     Returns a list of (kind, A, B, amount) violations; empty means f is a
-    contra-polymatroid rank function to tolerance. Infinite values are legal
-    and satisfy every inequality they appear on the large side of.
+    contra-polymatroid rank function to tolerance ``tol``, a finite number
+    >= 0 (``bad-tolerance``). Infinite values are legal and satisfy every
+    inequality they appear on the large side of.
     """
+    check_tolerance(tol)
     out = []
     ground = set(range(1, f.ground + 1))
     empty = f(())

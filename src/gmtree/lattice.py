@@ -63,14 +63,6 @@ class LatticePair:
         if self.n < 0 or self.m < 0:
             raise ModelError("lattice exponents must be nonnegative", code="bad-lattice")
 
-    @property
-    def step(self) -> float:
-        return 2.0 ** (-self.n)
-
-    @property
-    def period(self) -> float:
-        return 2.0 ** self.m
-
 
 def _fine(x, n: int):
     """Round the array x to the fine lattice 2^(-n) Z in place and return it.
@@ -167,7 +159,7 @@ def _pair_blocks(rng, size: int, sigma2: float, overlap: bool, kernel):
         y2 -= t
         return kernel(y1, y2, z, t)
 
-    return x2, run_blocks(fill, work, size, BLOCK, overlap)
+    return x2, run_blocks(fill, work, size, overlap)
 
 
 def _mc_block(x1, x2, x3, tmp, lp: LatticePair) -> None:

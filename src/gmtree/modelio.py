@@ -80,9 +80,9 @@ class CovarianceModel:
         return Cov(self.labels, M)
 
 
-def _require(obj, key, code="bad-model"):
+def _require(obj, key):
     if not isinstance(obj, dict) or key not in obj:
-        raise ModelError(f"missing required field {key!r}", code=code)
+        raise ModelError(f"missing required field {key!r}", code="bad-model")
     return obj[key]
 
 

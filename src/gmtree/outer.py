@@ -48,7 +48,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModelError, check_count, check_distortion, check_weights
+from .errors import (DomainError, ModelError, check_count, check_distortion, check_tolerance,
+                     check_weights)
 from .gauss import gaussian_cmi
 from .inner import ChannelContext, _check_alpha, build_joint, min_weighted_sum, weight_order
 from .trees import BinaryTreeSource
@@ -113,10 +114,6 @@ class _OuterEval:
             return (a2 * s if a2 else 0.0), a2 * d[0], a2 * d[1]
         k = 0.5 / (1.0 + s)
         return 0.5 * math.log1p(s), k * d[0], k * d[1]
-
-    def f(self, n: int, x1: float, x2: float) -> float:
-        """The cap at internal node n of its children's slots x1 and x2."""
-        return self.cap(n, x1, x2)[0]
 
     def sweep(self, r: list, nodes) -> list:
         """Set r[n] to the cap of its children for each n of ``nodes`` (children first)."""
@@ -313,7 +310,7 @@ def f_node(tree: BinaryTreeSource, node, r1: float, r2: float) -> float:
     h = tree.index(node)
     if h >= tree.leaf_count:
         raise ModelError(f"node {node} is not internal", code="unknown-node")
-    return _OuterEval(tree).f(h, r1, r2)
+    return _OuterEval(tree).cap(h, r1, r2)[0]
 
 
 def _check_rates(tree: BinaryTreeSource, r: dict) -> list:
@@ -342,8 +339,10 @@ def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) 
     """Membership of r in the feasible noise-quantization set at distortion d.
 
     A zero-noise node's entry is its q (see the module docstring), capped
-    like a rate by ``f_node``.
+    like a rate by ``f_node``. ``tol`` must be a finite number >= 0
+    (``bad-tolerance``).
     """
+    check_tolerance(tol)
     check_distortion(d)
     rates = _check_rates(tree, r)
     if any(v < -tol for v in rates[1:]):
@@ -352,7 +351,7 @@ def frd_contains(tree: BinaryTreeSource, r: dict, d: float, tol: float = 1e-10) 
         return False
     ev = _OuterEval(tree)
     return not any(
-        rates[n] > ev.f(n, max(rates[2 * n], 0.0), max(rates[2 * n + 1], 0.0)) + tol
+        rates[n] > ev.cap(n, max(rates[2 * n], 0.0), max(rates[2 * n + 1], 0.0))[0] + tol
         for n in range(1, ev.m)
     )
 
@@ -426,7 +425,7 @@ def equality_rates(tree: BinaryTreeSource, alpha) -> dict:
             den = (1.0 - ai * ai) * tree.var(nodes[n - 1])
             x[n] = top / den if den > 0.0 else (math.inf if top else 0.0)
         else:
-            x[n] = ev.f(n, x[2 * n], x[2 * n + 1])
+            x[n] = ev.cap(n, x[2 * n], x[2 * n + 1])[0]
     return dict(zip(nodes, map(float, x[1:])))
 
 
@@ -448,8 +447,7 @@ class OuterSolution(NamedTuple):
     subsets: int
 
 
-def rd_out_min_weighted(tree: BinaryTreeSource, weights, d: float, *,
-                        _ev: _OuterEval | None = None) -> OuterSolution:
+def rd_out_min_weighted(tree: BinaryTreeSource, weights, d: float) -> OuterSolution:
     """Minimum of the converse bound on the weighted sum rate at distortion d.
 
     One convex program (``_OuterEval.convex``), solved by SLSQP with cutting
@@ -457,7 +455,7 @@ def rd_out_min_weighted(tree: BinaryTreeSource, weights, d: float, *,
     half log(root variance / d). Its value is a lower bound for every point
     of the rate region at distortion d.
     """
-    ev = _ev if _ev is not None else _OuterEval(tree)
+    ev = _OuterEval(tree)
     w = check_weights(weights, ev.m)
     check_distortion(d)
     s2 = tree.root_var
@@ -508,24 +506,25 @@ def matchup_verify(
     the region's inner and outer descriptions coincide. ``starts`` and
     ``seed`` budget the inner search of the first weight vector; later ones
     reuse the previous optimum as a warm start with WARM_STARTS starts and
-    seed + their index. ``tol`` is the largest gap that passes. ``starts``
-    must be an integer >= 1 (``bad-budget``) at any d, and there must be at
-    least one weight vector (``bad-weights``).
+    seed + their index. ``tol`` is the largest gap that passes, a finite
+    number >= 0 (``bad-tolerance``). ``starts`` must be an integer >= 1
+    (``bad-budget``) at any d, and there must be at least one weight vector
+    (``bad-weights``).
     """
+    check_tolerance(tol)
     starts = check_count(starts, "starts", code="bad-budget")
     weight_vectors = list(weight_vectors)
     if not weight_vectors:
         raise ModelError("matchup_verify needs at least one weight vector", code="bad-weights")
     report = MatchupReport(d, tol)
     ictx = ChannelContext(tree)
-    ev = _OuterEval(tree)
     warm = None
     for idx, wv in enumerate(weight_vectors):
         isol = min_weighted_sum(
             tree, wv, d, starts=starts if idx == 0 else WARM_STARTS,
             seed=seed + idx, warm=warm, _ctx=ictx,
         )
-        osol = rd_out_min_weighted(tree, wv, d, _ev=ev)
+        osol = rd_out_min_weighted(tree, wv, d)
         warm = isol.alpha
         report.rows.append(
             (tuple(float(v) for v in wv), isol.value, osol.value, isol.value - osol.value)

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 NodeId = tuple[int, int]
+MARKOV_TOL = 1e-9  # largest partial covariance validate_markov reads as zero
 
 
 def _check_param(v, what: str, variance: bool = False):
@@ -153,14 +154,14 @@ def _shape(topology: Mapping[str, str | None], labels) -> MarkovTree:
     return MarkovTree(tuple(TreeNode(v, p) for v, p in topology.items()), 0.0)
 
 
-def validate_markov(topology: Mapping[str, str | None], K: Cov, tol: float = 1e-9):
+def validate_markov(topology: Mapping[str, str | None], K: Cov):
     """Check that K satisfies the conditional-independence pattern of a tree.
 
     ``topology`` maps node id -> parent id (None for the root). For every
     node, any two variables from different branches (child subtrees and the
     through-parent complement) must have zero partial covariance given the
-    node, to absolute tolerance. Returns the list of violations as tuples
-    (node, a, b, partial_covariance); empty means consistent.
+    node, to absolute tolerance MARKOV_TOL. Returns the list of violations
+    as tuples (node, a, b, partial_covariance); empty means consistent.
     """
     shape = _shape(topology, K.labels)
     M = K.matrix
@@ -187,7 +188,7 @@ def validate_markov(topology: Mapping[str, str | None], K: Cov, tol: float = 1e-
                             pc = M[ia, ib] - M[ia, iv] * M[iv, ib] / vv
                         else:
                             pc = M[ia, ib]
-                        if abs(pc) > tol:
+                        if abs(pc) > MARKOV_TOL:
                             violations.append((v, a, b, float(pc)))
     return violations
 

@@ -406,6 +406,24 @@ def test_worst_case_cli():
     assert abs(out["gap"]) <= 3 * out["se"]
 
 
+def test_worst_case_refuses_one_sample():
+    r = run_cli("worst-case", "--tree", fixture_path("figure_tree"), "--samples", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["code"] == "bad-samples"
+
+
+@pytest.mark.parametrize("tol, code", [("nan", "bad-number"), ("inf", "bad-number"),
+                                       ("-1", "bad-tolerance")])
+def test_verify_matchup_refuses_a_bad_gap_tolerance(tol, code):
+    # --gap-tol nan used to exit 0 with "passed": false and "tol": NaN
+    r = run_cli("verify-matchup", "--tree", fixture_path("figure_tree"), "-d", "0.5",
+                "--gap-tol", tol)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["code"] == code
+
+
 def test_seed_determinism():
     a = run_cli("inner", "--tree", fixture_path("figure_tree"), "-d", "0.5",
                 "--starts", "4", "--seed", "9")

@@ -17,9 +17,11 @@ from gmtree import (
     LatticePair,
     MarkovTree,
     ModelError,
+    RankFunction,
     TreeNode,
     divergence_report,
     equality_rates,
+    frd_contains,
     lattice_decode,
     lattice_encode,
     lattice_mc_distortion,
@@ -27,6 +29,7 @@ from gmtree import (
     llse_equivalence_check,
     matchup_verify,
     min_weighted_sum,
+    polymatroid_audit,
     rd_out_min_weighted,
     region_slice,
     sample_gaussian,
@@ -37,13 +40,19 @@ from gmtree import (
     tree_to_cov,
     weight_order,
 )
-from gmtree.errors import check_count, check_finite
+from gmtree.errors import check_count, check_finite, check_tolerance
 
 VALUES = [math.nan, math.inf, -math.inf, 0, -1, 2.5]
 LP = LatticePair(8, 4)
 ALPHA = {(2, 1): 0.9, (2, 2): 0.7}
 NOISE = {(2, 1): 0.19, (2, 2): 0.51}
 TREE = BinaryTreeSource(2, 1.0, ALPHA, NOISE)
+
+
+ZERO_RATES = {v: 0.0 for v in TREE.nodes()}
+# an entropy-like (submodular) table: the supermodular inequality fails twice
+SUBMODULAR = RankFunction(2, {frozenset(): 0.0, frozenset({1}): 1.0,
+                              frozenset({2}): 1.0, frozenset({1, 2}): 1.5})
 
 
 def _solve(tree):
@@ -90,6 +99,9 @@ CALLS = {
     "markov noise": lambda v: _chain(noise=v),
     "lattice sample": lambda v: lattice_encode(v, LP),
     "lattice message": lambda v: lattice_decode(v, 0.0, LP),
+    "matchup tol": lambda v: matchup_verify(TREE, 0.5, [[1.0, 1.0]], starts=1, tol=v),
+    "membership tol": lambda v: frd_contains(TREE, ZERO_RATES, 0.5, tol=v),
+    "audit tol": lambda v: polymatroid_audit(SUBMODULAR, tol=v),
 }
 
 
@@ -136,3 +148,21 @@ def test_check_count_takes_integers_of_at_least_one(n, code):
     assert err.value.code == code
     assert "positive" in str(err.value)
     assert check_count(np.int64(3), "n") == 3 and check_count(True, "n") == 1
+
+
+@pytest.mark.parametrize("name", ["matchup tol", "membership tol", "audit tol"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_a_tolerance_is_a_finite_number_of_at_least_zero(name, tol):
+    # at tol=nan the zero rates used to pass membership at d = 0.5, and the
+    # audit reported a spurious "empty" violation in place of the two real ones
+    with pytest.raises(ModelError) as err:
+        CALLS[name](tol)
+    assert err.value.code == ("bad-tolerance" if tol == -1.0 else "bad-number")
+
+
+def test_a_zero_tolerance_is_taken():
+    assert CALLS["matchup tol"](0.0).tol == 0.0
+    assert CALLS["membership tol"](0.0) is False
+    assert [v[0] for v in CALLS["audit tol"](0.0)] == ["supermodular"] * 2
+    check_tolerance(0)
+    check_tolerance(np.float64(1e-9))

@@ -86,6 +86,25 @@ def test_sample_count_validation(small_tree):
         assert err.value.code == "bad-samples"
 
 
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "laplace", "signmix"])
+def test_one_sample_is_refused_before_any_draw(small_tree, dist):
+    # one sample has no standard error: this raised sampler-mismatch for
+    # every sampler, the Gaussian one included
+    drawn = []
+    innov = alternate_sampler(dist)
+
+    def sampler(rng, size):
+        drawn.append(size)
+        return innov(rng, size)
+
+    for d in (dist, sampler):
+        with pytest.raises(ModelError) as err:
+            llse_equivalence_check(small_tree, [0.8, 0.6], d, samples=1, seed=0)
+        assert err.value.code == "bad-samples"
+        assert "two samples" in str(err.value)
+    assert drawn == []
+
+
 def test_alpha_validation(small_tree):
     with pytest.raises(ModelError):
         llse_equivalence_check(small_tree, [1.5, 0.6], "uniform",
@@ -169,14 +188,14 @@ def _report(tree, alpha, dist, samples, seed):
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_report_equals_the_serial_out_of_place_reference(monkeypatch, small_tree, cpus):
-    # up to one block is the whole-shard draw (one sample has no moment SE, so
-    # the gate fires); 600k is two full shards and a partial one, 1M four full
+    # up to one block is the whole-shard draw (2 samples is the fewest the
+    # check takes); 600k is two full shards and a partial one, 1M four full
     # ones; on 1 CPU they run in turn, on 2 or 4 on a thread pool
     monkeypatch.setattr(_shards, "_cpus", lambda: cpus)
     deep = random_binary_tree(3, 77)
     deep_alpha = [float(x) for x in np.random.default_rng(5).uniform(0.3, 0.9, 4)]
     custom = lambda rng, size: rng.normal(0.0, 1.0, size)  # noqa: E731
-    for samples in (1, B - 1, B, B + 1, 3 * B + 5, 600_000, 1_000_000):
+    for samples in (2, B - 1, B, B + 1, 3 * B + 5, 600_000, 1_000_000):
         seed = samples % 11
         for tree, alpha, dist in ((small_tree, [0.8, 0.6], "laplace"),
                                   (small_tree, [0.7, 0.5], custom),
